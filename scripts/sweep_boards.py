@@ -9,7 +9,7 @@ catalog for s up to 6 and boards up to 13 columns takes a few seconds.
 import argparse
 import sys
 
-from sqtilings.series import count_table, paper_line, tables_to_csv
+from sqtilings.series import count_tables, paper_line, tables_to_csv
 
 
 def main() -> int:
@@ -25,8 +25,8 @@ def main() -> int:
     tables = []
     for s in range(args.s_min, args.s_max + 1):
         for n in range(1, args.n_max + 1):
-            for m in range(n, args.m_max + 1):
-                tables.append(count_table(s, n, m))
+            # one sweep per (s, n); boards shorter than n are their rotations
+            tables.extend(count_tables(s, n, args.m_max)[n:])
 
     if args.format == "csv":
         text = tables_to_csv(tables)

@@ -2,9 +2,10 @@
 
 The package counts, for an n x m board, the tilings that use exactly k
 squares of side s with every remaining cell a monomer.  Counts come out
-either as explicit tables (:func:`count_table`) or packaged as bivariate
-rational generating functions in z (board length) and t (squares used)
-via :func:`generating_function`.  A brute-force oracle and a collection
+either as explicit tables (:func:`count_tables` for every length up to a
+bound from one sweep, :func:`count_table` for one board) or packaged as
+bivariate rational generating functions in z (board length) and t
+(squares used) via :func:`generating_function`.  A brute-force oracle and a collection
 of closed-form identities double-check everything independently.
 """
 
@@ -37,12 +38,12 @@ from .identities import (
     run_verification,
 )
 from .oracle import DEFAULT_CELL_CAP, BoardTooLarge, brute_force_counts
-from .poly import BiPoly, PolyT, RatFun, ratfun_eq
+from .poly import BiPoly, PolyT, RatFun
 from .series import (
     CountTable,
     count_table,
+    count_tables,
     paper_line,
-    row_sum_sequence,
     square_table,
     table_record,
     tables_to_csv,
@@ -74,13 +75,12 @@ __all__ = [
     "check_subwidth",
     "check_two_s_square",
     "count_table",
+    "count_tables",
     "emit_cas_script",
     "enumerate_states",
     "generating_function",
     "parse_cas_script",
     "paper_line",
-    "ratfun_eq",
-    "row_sum_sequence",
     "run_verification",
     "series_expand",
     "square_table",

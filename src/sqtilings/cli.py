@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -32,24 +31,7 @@ from .gfun import (
 )
 from .identities import run_verification
 from .oracle import DEFAULT_CELL_CAP, BoardTooLarge
-from .series import count_table, paper_line, square_table, table_record, tables_to_csv
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Caps shared by the subcommands, filled from the parsed arguments."""
-
-    state_cap: int = DEFAULT_STATE_CAP
-    dim_cap: int = DEFAULT_DIM_CAP
-    cell_cap: int = DEFAULT_CELL_CAP
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            state_cap=getattr(args, "state_cap", DEFAULT_STATE_CAP),
-            dim_cap=getattr(args, "gf_cap", DEFAULT_DIM_CAP),
-            cell_cap=getattr(args, "oracle_cap", DEFAULT_CELL_CAP),
-        )
+from .series import count_tables, paper_line, square_table, table_record, tables_to_csv
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -68,31 +50,25 @@ def _render_tables(tables, fmt: str) -> str:
 
 
 def cmd_table(args) -> int:
-    cfg = RunConfig.from_args(args)
     if (args.m is None) == (args.m_max is None):
         raise UsageError("exactly one of --m or --m-max is required")
     if args.m is not None:
-        tables = [count_table(args.s, args.n, args.m, cfg.state_cap)]
+        tables = count_tables(args.s, args.n, args.m, args.state_cap)[args.m:]
     else:
-        tables = [
-            count_table(args.s, args.n, m, cfg.state_cap)
-            for m in range(args.m_max + 1)
-        ]
+        tables = count_tables(args.s, args.n, args.m_max, args.state_cap)
     _emit(_render_tables(tables, args.format), args.out)
     return 0
 
 
 def cmd_square(args) -> int:
-    cfg = RunConfig.from_args(args)
-    tables = square_table(args.s, args.size_max, cfg.state_cap)
+    tables = square_table(args.s, args.size_max, args.state_cap)
     _emit(_render_tables(tables, args.format), args.out)
     return 0
 
 
 def cmd_gf(args) -> int:
-    cfg = RunConfig.from_args(args)
-    graph = enumerate_states(args.s, args.n, cfg.state_cap)
-    ratio = generating_function(build_matrix(graph), cfg.dim_cap)
+    graph = enumerate_states(args.s, args.n, args.state_cap)
+    ratio = generating_function(build_matrix(graph), args.gf_cap)
     lines = [ratio.render()]
     if args.row_sums:
         lines.append(ratio.substitute_t(1).render())
@@ -101,12 +77,11 @@ def cmd_gf(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
     reports = run_verification(
         s_max=args.s_max,
         n_max=args.n_max,
         m_max=args.m_max,
-        state_cap=cfg.state_cap,
+        state_cap=args.state_cap,
         oracle_cell_cap=args.oracle_cap if args.oracle_cap > 0 else None,
     )
     ok = all(r.passed for r in reports)
@@ -126,16 +101,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cas(args) -> int:
-    cfg = RunConfig.from_args(args)
-    graph = enumerate_states(args.s, args.n, cfg.state_cap)
+    graph = enumerate_states(args.s, args.n, args.state_cap)
     mat = build_matrix(graph)
     script = emit_cas_script(mat)
     _emit(script, args.out)
     if args.check:
         reparsed = parse_cas_script(script)
         same_system = reparsed.dim == mat.dim and reparsed.entries == mat.entries
-        same_gf = generating_function(reparsed, cfg.dim_cap) == generating_function(
-            mat, cfg.dim_cap
+        same_gf = generating_function(reparsed, args.gf_cap) == generating_function(
+            mat, args.gf_cap
         )
         if not (same_system and same_gf):
             print("cas round-trip mismatch", file=sys.stderr)
@@ -148,20 +122,40 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    """argparse type for integers >= low, so bad values exit 2 as usage errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
 def _add_cap_args(sub, *, state=True, gf=False, oracle=False):
     if state:
         sub.add_argument(
-            "--state-cap", type=int, default=DEFAULT_STATE_CAP, metavar="N",
+            "--state-cap", type=_positive, default=DEFAULT_STATE_CAP, metavar="N",
             help="abort if the transfer graph needs more states than this",
         )
     if gf:
         sub.add_argument(
-            "--gf-cap", type=int, default=DEFAULT_DIM_CAP, metavar="N",
+            "--gf-cap", type=_positive, default=DEFAULT_DIM_CAP, metavar="N",
             help="abort if the linear system is larger than this",
         )
     if oracle:
         sub.add_argument(
-            "--oracle-cap", type=int, default=DEFAULT_CELL_CAP, metavar="CELLS",
+            "--oracle-cap", type=_non_negative, default=DEFAULT_CELL_CAP,
+            metavar="CELLS",
             help="largest board, in cells, recounted by the exhaustive "
             "oracle (0 disables the oracle cross-checks)",
         )
@@ -177,18 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("table", help="count tables for one board height")
-    p.add_argument("--s", type=int, required=True, help="square side length")
-    p.add_argument("--n", type=int, required=True, help="board height")
-    p.add_argument("--m", type=int, help="board length")
-    p.add_argument("--m-max", type=int, help="emit all lengths 0..M", metavar="M")
+    p.add_argument("--s", type=_positive, required=True, help="square side length")
+    p.add_argument("--n", type=_positive, required=True, help="board height")
+    p.add_argument("--m", type=_non_negative, help="board length")
+    p.add_argument("--m-max", type=_non_negative, metavar="M",
+                   help="emit all lengths 0..M from one sweep")
     p.add_argument("--format", choices=["paper", "csv", "json"], default="paper")
     p.add_argument("--out", help="write to this file instead of stdout")
     _add_cap_args(p)
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("square", help="count tables for square boards")
-    p.add_argument("--s", type=int, required=True, help="square side length")
-    p.add_argument("--size-max", type=int, required=True, metavar="N",
+    p.add_argument("--s", type=_positive, required=True, help="square side length")
+    p.add_argument("--size-max", type=_positive, required=True, metavar="N",
                    help="largest board size, runs 1x1 up to NxN")
     p.add_argument("--format", choices=["paper", "csv", "json"], default="paper")
     p.add_argument("--out", help="write to this file instead of stdout")
@@ -196,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_square)
 
     p = subs.add_parser("gf", help="closed-form generating function")
-    p.add_argument("--s", type=int, required=True, help="square side length")
-    p.add_argument("--n", type=int, required=True, help="board height")
+    p.add_argument("--s", type=_positive, required=True, help="square side length")
+    p.add_argument("--n", type=_positive, required=True, help="board height")
     p.add_argument("--row-sums", action="store_true",
                    help="also print the t=1 specialization")
     p.add_argument("--out", help="write to this file instead of stdout")
@@ -205,17 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gf)
 
     p = subs.add_parser("verify", help="run identity and conjecture checks")
-    p.add_argument("--s-max", type=int, default=5)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--m-max", type=int, default=10)
+    p.add_argument("--s-max", type=_positive, default=5)
+    p.add_argument("--n-max", type=_positive, default=10)
+    p.add_argument("--m-max", type=_non_negative, default=10)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write to this file instead of stdout")
     _add_cap_args(p, oracle=True)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("cas", help="emit the transfer system as a script")
-    p.add_argument("--s", type=int, required=True, help="square side length")
-    p.add_argument("--n", type=int, required=True, help="board height")
+    p.add_argument("--s", type=_positive, required=True, help="square side length")
+    p.add_argument("--n", type=_positive, required=True, help="board height")
     p.add_argument("--check", action="store_true",
                    help="parse the emitted script back and re-solve it")
     p.add_argument("--out", help="write to this file instead of stdout")

@@ -87,18 +87,6 @@ class TransferGraph:
     def dim(self) -> int:
         return len(self.states)
 
-    def dump_states(self) -> str:
-        return "\n".join(
-            f"{i}: " + " ".join(map(str, h)) for i, h in enumerate(self.states)
-        )
-
-    def dump_edges(self) -> str:
-        lines = []
-        for src, lst in enumerate(self.edges):
-            for dst, k, mult in lst:
-                lines.append(f"{src} -> {dst} k={k} mult={mult}")
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"TransferGraph(s={self.s}, n={self.n}, dim={self.dim})"
 

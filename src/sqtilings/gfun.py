@@ -247,14 +247,12 @@ def series_expand(ratio: RatFun, z_order: int) -> list:
 # CAS script emission and round-trip parsing
 
 
-def emit_cas_script(mat: SymbolicTransferMatrix, style: str = "maple-like") -> str:
+def emit_cas_script(mat: SymbolicTransferMatrix) -> str:
     """The linear system as a solve-and-print script.
 
     One equation per state: x_i = [i == 0] + sum_j entry(i, j) * x_j, then
     a solve over all unknowns and a print of the head component x0.
     """
-    if style != "maple-like":
-        raise ValueError(f"unknown script style: {style!r}")
     dim = mat.dim
     by_row: dict = {}
     for (r, c), poly in mat.entries.items():

@@ -25,7 +25,7 @@ from math import comb
 
 from .engine import DEFAULT_STATE_CAP
 from .oracle import brute_force_counts
-from .series import CountTable, _flat_entry_sweep, _trim, count_table, row_sum_sequence
+from .series import CountTable, _trim, count_table, count_tables
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,6 @@ def _coeff(table: CountTable, k: int) -> int:
     return table.counts[k] if 0 <= k < len(table.counts) else 0
 
 
-def _tables_for(s: int, n: int, m_max: int, state_cap: int) -> list:
-    """Count tables for n x m, m = 0 .. m_max, from one front sweep."""
-    sweep = _flat_entry_sweep(s, n, m_max, state_cap)
-    out = []
-    for m, poly in enumerate(sweep):
-        bound = (n * m) // (s * s)
-        out.append(CountTable(s, n, m, _trim([poly.get(k, 0) for k in range(bound + 1)])))
-    return out
-
-
 def check_basic(
     s_max: int = 5,
     n_max: int = 10,
@@ -139,7 +129,7 @@ def check_basic(
     """
     report = IdentityReport("basic count identities")
     for s in range(1, s_max + 1):
-        tables = {n: _tables_for(s, n, m_max, state_cap) for n in range(1, n_max + 1)}
+        tables = {n: count_tables(s, n, m_max, state_cap) for n in range(1, n_max + 1)}
         for n in range(1, n_max + 1):
             for m in range(0, m_max + 1):
                 table = tables[n][m]
@@ -212,7 +202,7 @@ def check_single_lane(
     """
     report = IdentityReport("single-lane closed forms")
     for s in range(1, s_max + 1):
-        tables = _tables_for(s, s, m_max, state_cap)
+        tables = count_tables(s, s, m_max, state_cap)
         sums = [t.row_sum for t in tables]
         for m in range(0, m_max + 1):
             expected = _trim([comb(m - (s - 1) * k, k) for k in range(m // s + 1)])
@@ -254,9 +244,9 @@ def check_subwidth(
     """
     report = IdentityReport("subwidth product structure")
     for s in range(1, s_max + 1):
-        base = _tables_for(s, s, m_max, state_cap)
+        base = count_tables(s, s, m_max, state_cap)
         for n in range(s, min(2 * s - 1, n_max) + 1):
-            tables = _tables_for(s, n, m_max, state_cap)
+            tables = count_tables(s, n, m_max, state_cap)
             for m in range(0, m_max + 1):
                 expected = tuple(
                     (n - s + 1) ** k * c for k, c in enumerate(base[m].counts)

@@ -74,5 +74,9 @@ def brute_force_counts(
         return res
 
     counts = list(rec(0))
-    assert len(counts) <= (cells // (s * s)) + 1
+    if len(counts) > cells // (s * s) + 1:
+        raise RuntimeError(
+            f"{n} x {m} board: {len(counts) - 1} squares of side {s} "
+            "exceed the area bound"
+        )
     return CountTable(s, n, m, _trim(counts))

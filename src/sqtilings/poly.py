@@ -35,10 +35,6 @@ def _pack(z_exp: int, t_exp: int) -> int:
     return (z_exp << _SHIFT) | t_exp
 
 
-def _unpack(key: int) -> tuple[int, int]:
-    return key >> _SHIFT, key & _TMASK
-
-
 # ---------------------------------------------------------------------------
 # raw term-map helpers; a term map is dict[packed_key, nonzero int]
 
@@ -56,12 +52,6 @@ def _add_terms(a: dict, b: dict) -> dict:
 
 def _neg_terms(a: dict) -> dict:
     return {k: -c for k, c in a.items()}
-
-
-def _scale_terms(a: dict, c: int) -> dict:
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
@@ -265,36 +255,12 @@ class BiPoly:
         return cls({_pack(z, t): coeff} if coeff else {})
 
     @classmethod
-    def from_pairs(cls, pairs) -> "BiPoly":
-        items = pairs.items() if isinstance(pairs, dict) else pairs
-        out: dict = {}
-        for (z_exp, t_exp), c in items:
-            k = _pack(z_exp, t_exp)
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return cls(out)
-
-    @classmethod
     def parse(cls, text: str) -> "BiPoly":
         return cls(_parse_terms(text))
-
-    def pairs(self) -> dict:
-        return {(k >> _SHIFT, k & _TMASK): c for k, c in self.terms.items()}
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def degree_z(self) -> int:
-        return max((k >> _SHIFT for k in self.terms), default=0)
-
-    @property
-    def degree_t(self) -> int:
-        return max((k & _TMASK for k in self.terms), default=0)
 
     def constant(self) -> int:
         """Coefficient of z^0 t^0."""
@@ -303,17 +269,8 @@ class BiPoly:
     def coeff(self, z: int, t: int) -> int:
         return self.terms.get(_pack(z, t), 0)
 
-    def content(self) -> int:
-        return _content(self.terms)
-
-    def scaled(self, c: int) -> "BiPoly":
-        return BiPoly(_scale_terms(self.terms, c))
-
     def substitute_t(self, value: int) -> "BiPoly":
         return BiPoly(_subs_t_terms(self.terms, value))
-
-    def exact_div(self, other: "BiPoly") -> "BiPoly":
-        return BiPoly(_exact_div_terms(self.terms, other.terms))
 
     def __add__(self, other):
         return BiPoly(_add_terms(self.terms, other.terms))
@@ -473,10 +430,6 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self.render()})"
-
-
-def ratfun_eq(a: RatFun, b: RatFun) -> bool:
-    return a.equivalent(b)
 
 
 def _split_ratio(text: str) -> tuple[str, str]:

@@ -3,9 +3,12 @@
 Iterating the weighted adjacency operator of the transfer graph m times on
 the unit vector of the flat front and reading the flat-front entry gives
 the polynomial in t whose t^k coefficient is the number of tilings of the
-n x m board using exactly k large squares.  This path involves no
-rational-function arithmetic at all, so it scales to long boards and
-independently cross-checks the closed forms from :mod:`sqtilings.gfun`.
+n x m board using exactly k large squares.  One sweep to length M reads off
+that entry after every step, so :func:`count_tables` returns the tables of
+all boards n x 0 .. n x M at the cost of the longest; :func:`count_table`
+is one entry of it, cached.  This path involves no rational-function
+arithmetic at all, so it scales to long boards and independently
+cross-checks the closed forms from :mod:`sqtilings.gfun`.
 """
 
 from __future__ import annotations
@@ -36,12 +39,8 @@ class CountTable:
     def row_sum(self) -> int:
         return sum(self.counts)
 
-    @property
-    def max_squares(self) -> int:
-        return (self.n * self.m) // (self.s * self.s)
 
-
-def _flat_entry_sweep(s, n, m_max, state_cap, truncate_at=None):
+def _flat_entry_sweep(s, n, m_max, state_cap):
     """Flat-front t-polynomials (dict exponent -> coeff) for m = 0 .. m_max."""
     graph = enumerate_states(s, n, state_cap)
     edges = graph.edges
@@ -54,28 +53,16 @@ def _flat_entry_sweep(s, n, m_max, state_cap, truncate_at=None):
             if not poly:
                 continue
             for dst, k, mult in edges[src]:
+                # counts are positive, so no sum cancels to zero; parallel
+                # edges (s = 1 only) scale the source once, not per term
+                terms = (
+                    poly.items() if mult == 1
+                    else [(e, c * mult) for e, c in poly.items()]
+                )
                 acc = nxt[dst]
                 get = acc.get
-                if mult == 1:
-                    for e, c in poly.items():
-                        ke = e + k
-                        if truncate_at is not None and ke > truncate_at:
-                            continue
-                        v = get(ke, 0) + c
-                        if v:
-                            acc[ke] = v
-                        elif ke in acc:
-                            del acc[ke]
-                else:
-                    for e, c in poly.items():
-                        ke = e + k
-                        if truncate_at is not None and ke > truncate_at:
-                            continue
-                        v = get(ke, 0) + c * mult
-                        if v:
-                            acc[ke] = v
-                        elif ke in acc:
-                            del acc[ke]
+                for e, c in terms:
+                    acc[e + k] = get(e + k, 0) + c
         vec = nxt
         out.append(vec[0])
     return out
@@ -87,37 +74,34 @@ def _trim(counts: list) -> tuple:
     return tuple(counts)
 
 
+def count_tables(
+    s: int, n: int, m_max: int, state_cap: int = DEFAULT_STATE_CAP
+) -> list:
+    """Count tables of the n x m boards for m = 0 .. m_max, from one sweep.
+
+    m = 0 is the empty board with its single empty tiling.
+    """
+    if m_max < 0:
+        raise ValueError("board length must be >= 0")
+    tables = []
+    for m, poly in enumerate(_flat_entry_sweep(s, n, m_max, state_cap)):
+        top = max(poly)
+        if top > (n * m) // (s * s):
+            raise RuntimeError(
+                f"{n} x {m} board: {top} squares of side {s} exceed the area bound"
+            )
+        # poly holds only positive counts, so this ends on a nonzero entry
+        counts = tuple(poly.get(k, 0) for k in range(top + 1))
+        tables.append(CountTable(s, n, m, counts))
+    return tables
+
+
 @lru_cache(maxsize=4096)
 def count_table(
-    s: int,
-    n: int,
-    m: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-    truncate: bool = False,
+    s: int, n: int, m: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> CountTable:
-    """Exact counts for the n x m board, all square counts k at once.
-
-    m = 0 is the empty board with its single empty tiling.  With
-    ``truncate`` the iteration drops t-degrees above the area bound early;
-    the result is identical, it only saves work on long boards.
-    """
-    if m < 0:
-        raise ValueError("board length must be >= 0")
-    bound = (n * m) // (s * s)
-    sweep = _flat_entry_sweep(s, n, m, state_cap, bound if truncate else None)
-    poly = sweep[m]
-    assert not poly or max(poly) <= bound
-    counts = [poly.get(k, 0) for k in range(bound + 1)]
-    return CountTable(s, n, m, _trim(counts))
-
-
-@lru_cache(maxsize=1024)
-def row_sum_sequence(
-    s: int, n: int, m_max: int, state_cap: int = DEFAULT_STATE_CAP
-) -> tuple:
-    """Total tilings of n x m for m = 0 .. m_max, as one incremental sweep."""
-    sweep = _flat_entry_sweep(s, n, m_max, state_cap)
-    return tuple(sum(p.values()) for p in sweep)
+    """Exact counts for the n x m board, all square counts k at once."""
+    return count_tables(s, n, m, state_cap)[m]
 
 
 def square_table(

@@ -46,6 +46,28 @@ def test_table_json(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--s", "0", "--n", "3", "--m", "2"],
+        ["table", "--s", "2", "--n", "3", "--m", "-1"],
+        ["table", "--s", "2", "--n", "0", "--m", "3"],
+        ["table", "--s", "2", "--n", "3", "--m-max", "x"],
+        ["gf", "--s", "-1", "--n", "3"],
+        ["square", "--s", "2", "--size-max", "-3"],
+        ["verify", "--oracle-cap", "-1"],
+        ["cas", "--s", "2", "--n", "2", "--gf-cap", "0"],
+    ],
+)
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --" in err
+    assert "Traceback" not in err
+
+
 def test_table_requires_one_length_flag(capsys):
     code, _, err = run(capsys, "table", "--s", "2", "--n", "3")
     assert code == 2

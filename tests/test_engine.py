@@ -27,6 +27,7 @@ def test_states_width_two():
     g = enumerate_states(2, 2)
     assert g.states == ((0, 0), (1, 1))
     assert g.edges == (((0, 0, 1), (1, 1, 1)), ((0, 0, 1),))
+    assert repr(g) == "TransferGraph(s=2, n=2, dim=2)"
 
 
 def test_states_width_four_discovery_order():
@@ -112,10 +113,3 @@ def test_rejects_degenerate_parameters():
         enumerate_states(2, 0)
     with pytest.raises(ValueError):
         enumerate_states(2, 3, 0)
-
-
-def test_dump_formats():
-    g = enumerate_states(2, 2)
-    assert g.dump_states() == "0: 0 0\n1: 1 1"
-    assert g.dump_edges() == "0 -> 0 k=0 mult=1\n0 -> 1 k=1 mult=1\n1 -> 0 k=0 mult=1"
-    assert repr(g) == "TransferGraph(s=2, n=2, dim=2)"

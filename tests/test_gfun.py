@@ -124,8 +124,6 @@ def test_cas_parser_rejects_malformed_scripts():
         parse_cas_script("eq_0 := x0 = z*x0;\n")  # head constant missing
     with pytest.raises(ValueError):
         parse_cas_script("eq_0 := x0 = 1 + z*x7;\n")
-    with pytest.raises(ValueError):
-        emit_cas_script(build_matrix(enumerate_states(2, 2)), style="mathematica")
 
 
 def test_fixture_forms_small(gf_of, load_gf_fixture):

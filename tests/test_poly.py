@@ -2,19 +2,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqtilings.poly import BiPoly, PolyT, RatFun, ratfun_eq
+from sqtilings.poly import BiPoly, PolyT, RatFun, _exact_div_terms
 
 exponents = st.integers(min_value=0, max_value=6)
 coefficients = st.integers(min_value=-9, max_value=9)
 bipolys = st.dictionaries(
     st.tuples(exponents, exponents), coefficients, max_size=6
-).map(BiPoly.from_pairs)
+).map(lambda terms: sum(
+    (BiPoly.term(c, z, t) for (z, t), c in terms.items()), BiPoly.zero()
+))
 nonzero_bipolys = bipolys.filter(lambda p: not p.is_zero)
 
 
 def test_parse_simple():
     p = BiPoly.parse("1 - z - 2*z^2*t")
-    assert p.pairs() == {(0, 0): 1, (1, 0): -1, (2, 1): -2}
+    assert p == BiPoly.term(1) + BiPoly.term(-1, z=1) + BiPoly.term(-2, z=2, t=1)
+    assert (p.coeff(0, 0), p.coeff(1, 0), p.coeff(2, 1)) == (1, -1, -2)
+    assert len(p.terms) == 3
 
 
 def test_parse_any_factor_order_and_whitespace():
@@ -65,16 +69,16 @@ def test_ring_laws(a, b, c):
 
 @given(bipolys, nonzero_bipolys)
 def test_exact_division_inverts_multiplication(a, b):
-    assert (a * b).exact_div(b) == a
+    assert _exact_div_terms((a * b).terms, b.terms) == a.terms
 
 
 def test_inexact_division_raises():
     num = BiPoly.parse("z^2 + 1")
     den = BiPoly.parse("z + 1")
     with pytest.raises(ValueError):
-        num.exact_div(den)
+        _exact_div_terms(num.terms, den.terms)
     with pytest.raises(ZeroDivisionError):
-        num.exact_div(BiPoly.zero())
+        _exact_div_terms(num.terms, {})
 
 
 def test_substitute_t():
@@ -84,16 +88,8 @@ def test_substitute_t():
     assert p.substitute_t(-1) == BiPoly.parse("1 - z + z^2")
 
 
-def test_content_and_scaled():
-    p = BiPoly.parse("6*z - 9*t")
-    assert p.content() == 3
-    assert p.scaled(2) == BiPoly.parse("12*z - 18*t")
-    assert BiPoly.zero().content() == 0
-
-
 def test_degrees_and_coeff():
     p = BiPoly.parse("1 + 4*z^3*t^2")
-    assert (p.degree_z, p.degree_t) == (3, 2)
     assert p.coeff(3, 2) == 4
     assert p.coeff(1, 1) == 0
     assert p.constant() == 1
@@ -163,7 +159,7 @@ def test_ratfun_rejects_bad_denominators():
 def test_ratfun_equivalence_vs_equality():
     a = RatFun.parse("(1) / (1 - z)")
     b = RatFun.parse("(1 + z) / (1 - z^2)")
-    assert a.equivalent(b) and ratfun_eq(a, b)
+    assert a.equivalent(b)
     assert a != b
     c = RatFun.parse("(1) / (1 - 2*z)")
     assert not a.equivalent(c)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sqtilings.series import (
     CountTable,
     count_table,
+    count_tables,
     paper_line,
-    row_sum_sequence,
     square_table,
     table_record,
     tables_to_csv,
@@ -49,31 +49,40 @@ def test_counts_trimmed_to_max_achieved():
     # the area bound allows k = 2
     table = count_table(2, 3, 3)
     assert table.counts[-1] != 0
-    assert table.max_squares == 2
     assert len(table.counts) == 2
 
 
-def test_row_sum_sequence_matches_tables():
-    seq = row_sum_sequence(2, 4, 8)
-    assert seq == tuple(count_table(2, 4, m).row_sum for m in range(9))
+def row_sums(s, n, m_max):
+    return [t.row_sum for t in count_tables(s, n, m_max)]
+
+
+def test_row_sums_match_tables():
+    assert row_sums(2, 4, 8) == [count_table(2, 4, m).row_sum for m in range(9)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_squares_give_binomials(n):
+    # s = 1 is the only case with parallel edges (mult > 1 in the sweep)
+    for m, table in enumerate(count_tables(1, n, 6)):
+        assert table.counts == tuple(comb(n * m, k) for k in range(n * m + 1))
 
 
 def test_fibonacci_row_sums():
-    seq = row_sum_sequence(2, 2, 12)
+    seq = row_sums(2, 2, 12)
     assert seq[0] == seq[1] == 1
     for m in range(2, 13):
         assert seq[m] == seq[m - 1] + seq[m - 2]
 
 
 def test_jacobsthal_row_sums():
-    seq = row_sum_sequence(2, 3, 12)
-    assert seq == tuple((2 ** (m + 1) + (-1) ** m) // 3 for m in range(13))
+    seq = row_sums(2, 3, 12)
+    assert seq == [(2 ** (m + 1) + (-1) ** m) // 3 for m in range(13)]
     assert seq[4] == 11
 
 
 def test_lag_three_row_sums():
-    seq = row_sum_sequence(3, 3, 12)
-    assert seq[:9] == (1, 1, 1, 2, 3, 4, 6, 9, 13)
+    seq = row_sums(3, 3, 12)
+    assert seq[:9] == [1, 1, 1, 2, 3, 4, 6, 9, 13]
 
 
 def test_single_lane_binomial_counts():
@@ -94,12 +103,6 @@ def test_rotation_symmetry(s, n, m):
     if m == 0:
         return
     assert count_table(s, n, m).counts == count_table(s, m, n).counts
-
-
-def test_truncated_iteration_is_exact():
-    plain = count_table(2, 5, 9)
-    trimmed = count_table(2, 5, 9, truncate=True)
-    assert plain == trimmed
 
 
 def test_square_table():
