@@ -50,8 +50,6 @@ def _render_tables(tables, fmt: str) -> str:
 
 
 def cmd_table(args) -> int:
-    if (args.m is None) == (args.m_max is None):
-        raise UsageError("exactly one of --m or --m-max is required")
     if args.m is not None:
         tables = count_tables(args.s, args.n, args.m, args.state_cap)[args.m:]
     else:
@@ -118,10 +116,6 @@ def cmd_cas(args) -> int:
     return 0
 
 
-class UsageError(Exception):
-    pass
-
-
 def _int_at_least(low: int):
     """argparse type for integers >= low, so bad values exit 2 as usage errors."""
 
@@ -141,12 +135,11 @@ _positive = _int_at_least(1)
 _non_negative = _int_at_least(0)
 
 
-def _add_cap_args(sub, *, state=True, gf=False, oracle=False):
-    if state:
-        sub.add_argument(
-            "--state-cap", type=_positive, default=DEFAULT_STATE_CAP, metavar="N",
-            help="abort if the transfer graph needs more states than this",
-        )
+def _add_cap_args(sub, *, gf=False, oracle=False):
+    sub.add_argument(
+        "--state-cap", type=_positive, default=DEFAULT_STATE_CAP, metavar="N",
+        help="abort if the transfer graph needs more states than this",
+    )
     if gf:
         sub.add_argument(
             "--gf-cap", type=_positive, default=DEFAULT_DIM_CAP, metavar="N",
@@ -173,9 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("table", help="count tables for one board height")
     p.add_argument("--s", type=_positive, required=True, help="square side length")
     p.add_argument("--n", type=_positive, required=True, help="board height")
-    p.add_argument("--m", type=_non_negative, help="board length")
-    p.add_argument("--m-max", type=_non_negative, metavar="M",
-                   help="emit all lengths 0..M from one sweep")
+    length = p.add_mutually_exclusive_group(required=True)
+    length.add_argument("--m", type=_non_negative, help="board length")
+    length.add_argument("--m-max", type=_non_negative, metavar="M",
+                        help="emit all lengths 0..M from one sweep")
     p.add_argument("--format", choices=["paper", "csv", "json"], default="paper")
     p.add_argument("--out", help="write to this file instead of stdout")
     _add_cap_args(p)
@@ -225,9 +219,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (StateCapExceeded, BoardTooLarge, DimensionCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

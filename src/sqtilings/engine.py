@@ -74,13 +74,12 @@ class TransferGraph:
     states[src] to states[dst] anchoring k squares each.
     """
 
-    __slots__ = ("s", "n", "states", "index", "edges")
+    __slots__ = ("s", "n", "states", "edges")
 
     def __init__(self, s, n, states, edges):
         self.s = s
         self.n = n
         self.states = states
-        self.index = {h: i for i, h in enumerate(states)}
         self.edges = edges
 
     @property

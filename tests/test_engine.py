@@ -73,7 +73,6 @@ def test_width_two_state_count_is_even_run_count(n):
 def test_graph_invariants(s, n):
     g = enumerate_states(s, n)
     assert g.states[0] == (0,) * n
-    assert g.index[g.states[0]] == 0
     seen_dsts = set()
     for src, lst in enumerate(g.edges):
         assert lst == tuple(sorted(lst))

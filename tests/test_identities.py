@@ -83,8 +83,7 @@ def test_failing_check_is_reported():
 def test_report_json_shape():
     report = IdentityReport("demo")
     report.add("x", {"s": 1}, (1, 2), (1, 2))
-    payload = report.to_json_dict()
-    json.dumps(payload)
+    payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload["passed"] is True
     assert payload["checks"][0] == {
         "identity": "x",
