@@ -8,11 +8,17 @@ pairwise disjoint squares on runs of currently flat lanes, then reduce
 every lane's overhang by one (never below zero).  Anchoring k squares in
 one advance contributes a factor t^k, and the advance itself a factor z.
 
-``enumerate_states`` walks the reachable fronts breadth-first from the
-all-flat front (index 0) and aggregates parallel edges into integer
-multiplicities.  For s >= 2 distinct placement sets always lead to
-distinct fronts, so multiplicities are 1; for s = 1 every placement
-returns to the single flat front and the multiplicities are binomials.
+Mirroring the board left to right maps the front graph onto itself and
+fixes the all-flat start front, so a front and its mirror image are
+reached by equally many weighted paths and can be solved for as one
+state (lumpability, Kemeny-Snell, *Finite Markov Chains* 6.3).
+``enumerate_states`` keeps the canonical front ``min(h, h[::-1])`` of each
+mirror pair, walks those breadth-first from the all-flat front (index 0)
+and aggregates parallel edges into integer multiplicities.  For s >= 2
+distinct placement sets lead to distinct fronts, so a multiplicity is 2
+when two mirror-image placements meet on one canonical front and 1
+otherwise; for s = 1 every placement returns to the single flat front and
+the multiplicities are binomials.
 """
 
 from __future__ import annotations
@@ -69,9 +75,10 @@ def transitions(heights: tuple, s: int) -> list:
 class TransferGraph:
     """Reachable fronts plus weighted row-advance edges for fixed (s, n).
 
-    states[0] is the all-flat front.  edges[src] is a tuple of
-    (dst, k, mult) triples sorted by (dst, k): mult parallel advances from
-    states[src] to states[dst] anchoring k squares each.
+    states[0] is the all-flat front and every state is the smaller of a
+    front and its mirror image.  edges[src] is a tuple of (dst, k, mult)
+    triples sorted by (dst, k): mult parallel advances from states[src]
+    to states[dst] or its mirror image, anchoring k squares each.
     """
 
     __slots__ = ("s", "n", "states", "edges")
@@ -90,9 +97,9 @@ class TransferGraph:
         return f"TransferGraph(s={self.s}, n={self.n}, dim={self.dim})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGraph:
-    """Breadth-first enumeration of reachable fronts, indexed in discovery order."""
+    """Breadth-first enumeration of reachable canonical fronts, in discovery order."""
     if s < 1 or n < 1:
         raise ValueError("square size and width must be positive")
     if cap < 1:
@@ -111,6 +118,7 @@ def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGr
                 agg[(0, k)] = comb(n, k)
         else:
             for nxt, k in transitions(states[pos], s):
+                nxt = min(nxt, nxt[::-1])
                 j = index.get(nxt)
                 if j is None:
                     if len(states) >= cap:

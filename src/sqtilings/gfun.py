@@ -2,7 +2,10 @@
 
 For fixed width n the bivariate generating function is the head component
 of the solution of (I - M) x = e0, where M is the weighted adjacency
-matrix of the transfer graph over Z[z, t].  The solve runs entirely in
+matrix of the transfer graph over Z[z, t].  That graph is lumped on
+mirror-image pairs of fronts (see :mod:`sqtilings.engine`), so M is the
+quotient system: its head component is the same rational function, and
+det(I - M) is a factor of the unlumped one.  The solve runs entirely in
 Z[z, t] using one-step fraction-free (Bareiss) elimination: every division
 performed is exact, so no rational-function or gcd machinery is needed,
 and the head component drops out of the final surviving equation as a
@@ -190,7 +193,7 @@ def generating_function(
 
     (last,) = rows
     # bring the survivor to the final generation so the denominator is the
-    # honest determinant of I - M, whose z^0 coefficient is 1
+    # determinant of the quotient system I - M, whose z^0 coefficient is 1
     catch_up(last, dim - 1)
     row = rows[last]
     den = row.get(0)

@@ -53,7 +53,8 @@ def _flat_entry_sweep(s, n, m_max, state_cap):
                 continue
             for dst, k, mult in edges[src]:
                 # counts are positive, so no sum cancels to zero; parallel
-                # edges (s = 1 only) scale the source once, not per term
+                # edges (binomials for s = 1, mirror-image pairs for s >= 2)
+                # scale the source once, not per term
                 terms = (
                     poly.items() if mult == 1
                     else [(e, c * mult) for e, c in poly.items()]

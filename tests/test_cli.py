@@ -93,7 +93,7 @@ def test_gf_row_sums_line(capsys):
 def test_gf_dimension_cap_exit_code(capsys):
     code, _, err = run(capsys, "gf", "--s", "2", "--n", "10", "--gf-cap", "50")
     assert code == 2
-    assert "dimension 89" in err
+    assert "dimension 51" in err
 
 
 def test_state_cap_exit_code(capsys):

@@ -32,14 +32,14 @@ def test_states_width_two():
 
 def test_states_width_four_discovery_order():
     g = enumerate_states(2, 4)
+    # (1, 1, 0, 0) is lumped into its mirror image (0, 0, 1, 1)
     assert g.states == (
         (0, 0, 0, 0),
-        (1, 1, 0, 0),
-        (0, 1, 1, 0),
         (0, 0, 1, 1),
+        (0, 1, 1, 0),
         (1, 1, 1, 1),
     )
-    assert g.edges[0] == ((0, 0, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 2, 1))
+    assert g.edges[0] == ((0, 0, 1), (1, 1, 2), (2, 1, 1), (3, 2, 1))
 
 
 def test_single_column_square_collapses_to_binomials():
@@ -56,12 +56,13 @@ def test_oversized_square_leaves_one_state():
 
 
 def _even_run_vectors(n):
-    """Binary vectors of length n whose maximal 1-runs all have even length."""
-    count = 0
+    """Binary vectors of length n whose maximal 1-runs all have even length,
+    counted up to reversal."""
+    vectors = set()
     for v in product((0, 1), repeat=n):
         if all(len(list(run)) % 2 == 0 for bit, run in groupby(v) if bit):
-            count += 1
-    return count
+            vectors.add(min(v, v[::-1]))
+    return len(vectors)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -79,12 +80,17 @@ def test_graph_invariants(s, n):
         for dst, k, mult in lst:
             assert 0 <= dst < g.dim
             assert 0 <= k <= n // s
-            assert mult == 1  # distinct placements always land on distinct fronts
+            # distinct placements land on distinct fronts; at most two of
+            # them, mirror images of each other, share a canonical front
+            assert mult in (1, 2)
             seen_dsts.add(dst)
+        # every placement set is counted exactly once
+        assert sum(mult for _, _, mult in lst) == len(transitions(g.states[src], s))
     assert seen_dsts == set(range(g.dim))  # discovery order leaves no orphans
     for h in g.states:
         assert len(h) == n
         assert all(0 <= x < s for x in h)
+        assert h <= h[::-1]  # the canonical front of its mirror pair
 
 
 def test_heights_decay_by_one_per_row():
@@ -95,6 +101,10 @@ def test_heights_decay_by_one_per_row():
                 expected = tuple(x - 1 if x else 0 for x in g.states[src])
                 assert nxt == expected
                 break
+
+
+def test_enumeration_cache_is_bounded():
+    assert enumerate_states.cache_info().maxsize is not None
 
 
 def test_state_cap():

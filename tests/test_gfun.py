@@ -79,9 +79,9 @@ def test_series_requires_unit_denominator_head():
 def test_dimension_cap():
     mat = build_matrix(enumerate_states(2, 4))
     with pytest.raises(DimensionCapExceeded) as err:
-        generating_function(mat, dim_cap=4)
-    assert err.value.dim == 5
-    assert err.value.cap == 4
+        generating_function(mat, dim_cap=3)
+    assert err.value.dim == 4
+    assert err.value.cap == 3
 
 
 def test_row_sum_specialization_matches_sequences(gf_of):

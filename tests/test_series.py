@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqtilings.engine import transitions
 from sqtilings.series import (
     CountTable,
     count_table,
@@ -62,9 +63,57 @@ def test_row_sums_match_tables():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_unit_squares_give_binomials(n):
-    # s = 1 is the only case with parallel edges (mult > 1 in the sweep)
+    # s = 1 has binomial parallel edges (mult > 1 in the sweep)
     for m, table in enumerate(count_tables(1, n, 6)):
         assert table.counts == tuple(comb(n * m, k) for k in range(n * m + 1))
+
+
+def _unlumped_flat_series(s, n, m_max, dim_cap):
+    """Flat-front t-polynomials for m = 0 .. m_max, swept over the graph of
+    all reachable fronts with no mirror lumping; None above dim_cap fronts."""
+    start = (0,) * n
+    index = {start: 0}
+    states = [start]
+    edges = []
+    for h in states:  # grows while it is walked: a plain breadth-first search
+        out = []
+        for nxt, k in transitions(h, s):
+            if nxt not in index:
+                if len(states) == dim_cap:
+                    return None
+                index[nxt] = len(states)
+                states.append(nxt)
+            out.append((index[nxt], k))
+        edges.append(out)
+    vec = [{} for _ in states]
+    vec[0] = {0: 1}
+    series = [vec[0]]
+    for _ in range(m_max):
+        nxt_vec = [{} for _ in states]
+        for src, poly in enumerate(vec):
+            for dst, k in edges[src]:
+                acc = nxt_vec[dst]
+                for e, c in poly.items():
+                    acc[e + k] = acc.get(e + k, 0) + c
+        vec = nxt_vec
+        series.append(vec[0])
+    return series
+
+
+def test_lumped_tables_match_unlumped_sweep():
+    # the tables run on the mirror-lumped graph; this sweep does not
+    systems = 0
+    for s in range(2, 7):
+        for n in range(1, 13):
+            series = _unlumped_flat_series(s, n, 2 * n + 2, dim_cap=60)
+            if series is None:
+                continue
+            tables = count_tables(s, n, 2 * n + 2)
+            for poly, table in zip(series, tables, strict=True):
+                counts = tuple(poly.get(k, 0) for k in range(max(poly) + 1))
+                assert counts == table.counts, (s, n, table.m)
+            systems += 1
+    assert systems == 47
 
 
 def test_fibonacci_row_sums():
