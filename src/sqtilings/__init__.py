@@ -5,8 +5,11 @@ squares of side s with every remaining cell a monomer.  Counts come out
 either as explicit tables (:func:`count_tables` for every length up to a
 bound from one sweep, :func:`count_table` for one board) or packaged as
 bivariate rational generating functions in z (board length) and t
-(squares used) via :func:`generating_function`.  A brute-force oracle and a collection
-of closed-form identities double-check everything independently.
+(squares used) via :func:`generating_function`, which solves the edges of
+the transfer graph from :func:`enumerate_states`.  The same edges are
+written out as a CAS script by :func:`emit_cas_script` and read back by
+:func:`parse_cas_script`.  A brute-force oracle and a collection of
+closed-form identities double-check everything independently.
 """
 
 from .engine import (
@@ -20,8 +23,6 @@ from .gfun import (
     DEFAULT_DIM_CAP,
     DimensionCapExceeded,
     EliminationError,
-    SymbolicTransferMatrix,
-    build_matrix,
     emit_cas_script,
     generating_function,
     parse_cas_script,
@@ -65,10 +66,8 @@ __all__ = [
     "PolyT",
     "RatFun",
     "StateCapExceeded",
-    "SymbolicTransferMatrix",
     "TransferGraph",
     "brute_force_counts",
-    "build_matrix",
     "check_basic",
     "check_conjectures",
     "check_single_lane",

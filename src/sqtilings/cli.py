@@ -9,7 +9,8 @@ Subcommands:
 * ``cas``    -- emit the transfer system as a solve-and-print script
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for usage
-errors and for boards that exceed a configured cap.
+errors (an ``--out`` file that cannot be written among them) and for
+boards that exceed a configured cap.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .engine import DEFAULT_STATE_CAP, StateCapExceeded, enumerate_states
 from .gfun import (
     DEFAULT_DIM_CAP,
     DimensionCapExceeded,
-    build_matrix,
     emit_cas_script,
     generating_function,
     parse_cas_script,
@@ -66,7 +66,7 @@ def cmd_square(args) -> int:
 
 def cmd_gf(args) -> int:
     graph = enumerate_states(args.s, args.n, args.state_cap)
-    ratio = generating_function(build_matrix(graph), args.gf_cap)
+    ratio = generating_function(graph.edges, args.gf_cap)
     lines = [ratio.render()]
     if args.row_sums:
         lines.append(ratio.substitute_t(1).render())
@@ -100,16 +100,10 @@ def cmd_verify(args) -> int:
 
 def cmd_cas(args) -> int:
     graph = enumerate_states(args.s, args.n, args.state_cap)
-    mat = build_matrix(graph)
-    script = emit_cas_script(mat)
+    script = emit_cas_script(graph.edges)
     _emit(script, args.out)
     if args.check:
-        reparsed = parse_cas_script(script)
-        same_system = reparsed.dim == mat.dim and reparsed.entries == mat.entries
-        same_gf = generating_function(reparsed, args.gf_cap) == generating_function(
-            mat, args.gf_cap
-        )
-        if not (same_system and same_gf):
+        if parse_cas_script(script) != graph.edges:
             print("cas round-trip mismatch", file=sys.stderr)
             return 1
         print("cas round-trip ok", file=sys.stderr)
@@ -206,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_positive, required=True, help="square side length")
     p.add_argument("--n", type=_positive, required=True, help="board height")
     p.add_argument("--check", action="store_true",
-                   help="parse the emitted script back and re-solve it")
+                   help="parse the emitted script back and compare it with "
+                   "the transfer graph's edges")
     p.add_argument("--out", help="write to this file instead of stdout")
-    _add_cap_args(p, gf=True)
+    _add_cap_args(p)
     p.set_defaults(func=cmd_cas)
 
     return parser
@@ -219,7 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StateCapExceeded, BoardTooLarge, DimensionCapExceeded) as exc:
+    except (StateCapExceeded, BoardTooLarge, DimensionCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,9 @@
 
 For fixed width n the bivariate generating function is the head component
 of the solution of (I - M) x = e0, where M is the weighted adjacency
-matrix of the transfer graph over Z[z, t].  That graph is lumped on
+matrix of the transfer graph over Z[z, t].  Every route here reads that
+system in one format, ``TransferGraph.edges``: edge (dst, k, mult) out of
+src puts mult * z * t^k into entry (dst, src) of M.  The graph is lumped on
 mirror-image pairs of fronts (see :mod:`sqtilings.engine`), so M is the
 quotient system: its head component is the same rational function, and
 det(I - M) is a factor of the unlumped one.  The solve runs entirely in
@@ -19,9 +21,9 @@ rescaled immediately; the cumulative scale factor telescopes to a single
 multiply-and-exact-divide when the row is next used.  Values agree with
 textbook Bareiss at every step, only the bookkeeping is batched.
 
-``emit_cas_script`` writes the same linear system as a Maple-style script;
-``parse_cas_script`` reads one back, so the text form can be round-tripped
-and re-solved as an independent path to the same closed form.
+``emit_cas_script`` writes the same edges as a Maple-style linear system;
+``parse_cas_script`` reads such a script back into edges, so the text form
+round-trips to exactly the system it was emitted from.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .poly import (
     _exact_div_terms,
     _mul_terms,
     _pack,
+    _parse_terms,
+    _render_terms,
     _TMASK,
     _SHIFT,
 )
@@ -56,30 +60,6 @@ class EliminationError(RuntimeError):
     """The linear system degenerated; impossible for well-formed transfer graphs."""
 
 
-class SymbolicTransferMatrix:
-    """Sparse matrix with entry (r, c) = sum over edges c -> r of mult * z * t^k."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: dict):
-        self.dim = dim
-        self.entries = entries  # dict[(row, col)] -> BiPoly, zero entries absent
-
-    def __repr__(self):
-        return f"SymbolicTransferMatrix(dim={self.dim}, nnz={len(self.entries)})"
-
-
-def build_matrix(graph) -> SymbolicTransferMatrix:
-    """Weighted adjacency matrix of a transfer graph, column = source state."""
-    raw: dict = {}
-    for src, lst in enumerate(graph.edges):
-        for dst, k, mult in lst:
-            terms = raw.setdefault((dst, src), {})
-            key = _pack(1, k)
-            terms[key] = terms.get(key, 0) + mult
-    return SymbolicTransferMatrix(graph.dim, {rc: BiPoly(t) for rc, t in raw.items()})
-
-
 def _is_unit(p: dict) -> bool:
     return len(p) == 1 and p.get(0) == 1
 
@@ -87,28 +67,25 @@ def _is_unit(p: dict) -> bool:
 _ONE = {0: 1}
 
 
-def generating_function(
-    mat: SymbolicTransferMatrix, dim_cap: int = DEFAULT_DIM_CAP
-) -> RatFun:
-    """Head component of (I - M)^-1 e0 by fraction-free elimination."""
-    dim = mat.dim
+def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
+    """Head component of (I - M)^-1 e0 by fraction-free elimination.
+
+    ``edges`` is ``TransferGraph.edges``: entry (dst, src) of M is the sum
+    of mult * z * t^k over the triples (dst, k, mult) in edges[src].
+    """
+    dim = len(edges)
     if dim > dim_cap:
         raise DimensionCapExceeded(dim, dim_cap)
     rhs = dim  # extra column index for the right-hand side e0
 
-    rows: dict = {i: {} for i in range(dim)}
-    for (r, c), poly in mat.entries.items():
-        rows[r][c] = {k: -v for k, v in poly.terms.items()}
-    for i in range(dim):
-        row = rows[i]
-        diag = row.setdefault(i, {})
-        v = diag.get(0, 0) + 1
-        if v:
-            diag[0] = v
-        elif 0 in diag:
-            del diag[0]
-        if not diag:
-            del row[i]
+    # row i of I - M; every entry of M carries a factor z, so the
+    # diagonal's constant 1 never cancels
+    rows: dict = {i: {i: {0: 1}} for i in range(dim)}
+    for src, lst in enumerate(edges):
+        for dst, k, mult in lst:
+            terms = rows[dst].setdefault(src, {})
+            key = _pack(1, k)
+            terms[key] = terms.get(key, 0) - mult
     rows[0][rhs] = {0: 1}
 
     colindex: dict = {}
@@ -245,27 +222,25 @@ def series_expand(ratio: RatFun, z_order: int) -> list:
 # CAS script emission and round-trip parsing
 
 
-def emit_cas_script(mat: SymbolicTransferMatrix) -> str:
-    """The linear system as a solve-and-print script.
+def emit_cas_script(edges) -> str:
+    """The linear system of ``TransferGraph.edges`` as a solve-and-print script.
 
     One equation per state: x_i = [i == 0] + sum_j entry(i, j) * x_j, then
     a solve over all unknowns and a print of the head component x0.
     """
-    dim = mat.dim
-    by_row: dict = {}
-    for (r, c), poly in mat.entries.items():
-        by_row.setdefault(r, {})[c] = poly
+    dim = len(edges)
+    by_row: list = [{} for _ in range(dim)]
+    for src, lst in enumerate(edges):
+        for dst, k, mult in lst:
+            terms = by_row[dst].setdefault(src, {})
+            key = _pack(1, k)
+            terms[key] = terms.get(key, 0) + mult
     lines = []
     for i in range(dim):
         parts = ["1"] if i == 0 else []
-        for j, poly in sorted(by_row.get(i, {}).items()):
-            text = poly.render()
-            if len(poly.terms) > 1:
-                parts.append(f"({text})*x{j}")
-            elif text == "1":
-                parts.append(f"x{j}")
-            else:
-                parts.append(f"{text}*x{j}")
+        for j, terms in sorted(by_row[i].items()):
+            text = _render_terms(terms)
+            parts.append(f"({text})*x{j}" if len(terms) > 1 else f"{text}*x{j}")
         body = " + ".join(parts) if parts else "0"
         lines.append(f"eq_{i} := x{i} = {body};")
     names = ", ".join(f"x{i}" for i in range(dim))
@@ -279,46 +254,62 @@ _EQ_RE = re.compile(r"^eq_(\d+)\s*:=\s*x(\d+)\s*=\s*(.*);$")
 _TERM_RE = re.compile(r"^(?:\(([^()]*)\)|([^()]*?))\*?x(\d+)$")
 
 
-def parse_cas_script(text: str) -> SymbolicTransferMatrix:
-    """Rebuild the transfer matrix from an emitted script."""
-    entries: dict = {}
-    consts: dict = {}
-    count = 0
+def parse_cas_script(text: str) -> tuple:
+    """Read an emitted script back into the edges of its transfer graph.
+
+    The result equals the ``TransferGraph.edges`` the script was emitted
+    from.  The equations must define x0 .. x(dim-1) once each, and after
+    like terms are summed eq_0 must hold the constant 1, no other equation
+    a constant, and every coefficient of an unknown must be a sum of
+    positive multiples of z*t^k; anything else raises ValueError.
+    """
+    sums: dict = {}  # (row, col) -> summed terms; col None for the constant
+    order = []
     for line in text.splitlines():
-        line = line.strip()
-        m = _EQ_RE.match(line)
+        m = _EQ_RE.match(line.strip())
         if m is None:
             continue
         eq_i, var_i, body = int(m.group(1)), int(m.group(2)), m.group(3)
         if eq_i != var_i:
             raise ValueError(f"equation eq_{eq_i} defines x{var_i}")
-        count += 1
+        order.append(eq_i)
         for term in _split_sum(body):
             tm = _TERM_RE.match(term)
-            if tm is not None:
-                par, bare, j = tm.group(1), tm.group(2), int(tm.group(3))
-                coeff_text = par if par is not None else bare
-                coeff = (
-                    BiPoly.one()
-                    if coeff_text in ("", "+")
-                    else BiPoly.parse(coeff_text.rstrip("*") or "1")
-                )
-                key = (eq_i, j)
-                entries[key] = entries.get(key, BiPoly.zero()) + coeff
+            if tm is None:
+                col, terms = None, _parse_terms(term)
             else:
-                consts[eq_i] = consts.get(eq_i, BiPoly.zero()) + BiPoly.parse(term)
-    if count == 0:
+                par, bare, j = tm.groups()
+                coeff_text = (par if par is not None else bare).rstrip("*")
+                col = int(j)
+                terms = {0: 1} if coeff_text in ("", "+") else _parse_terms(coeff_text)
+            acc = sums.setdefault((eq_i, col), {})
+            for key, c in terms.items():
+                acc[key] = acc.get(key, 0) + c
+    dim = len(order)
+    if dim == 0:
         raise ValueError("no equations found in script")
-    dim = count
-    for (r, c) in entries:
-        if r >= dim or c >= dim:
+    if sorted(order) != list(range(dim)):
+        raise ValueError(f"equations do not define x0 .. x{dim - 1} once each")
+    consts: dict = {}
+    edges: list = [[] for _ in range(dim)]
+    for (r, c), acc in sums.items():
+        acc = {key: v for key, v in acc.items() if v}
+        if c is None:
+            if acc:
+                consts[r] = acc
+            continue
+        if c >= dim:
             raise ValueError("equation references an unknown outside the system")
-    expected = {0: BiPoly.one()}
-    if consts != expected:
+        for key, mult in acc.items():
+            if key >> _SHIFT != 1 or mult < 0:
+                raise ValueError(
+                    f"coefficient of x{c} in eq_{r} is not a sum of positive "
+                    "multiples of z*t^k"
+                )
+            edges[c].append((r, key & _TMASK, mult))
+    if consts != {0: {0: 1}}:
         raise ValueError("constant terms do not describe a head-vector system")
-    return SymbolicTransferMatrix(
-        dim, {rc: p for rc, p in entries.items() if not p.is_zero}
-    )
+    return tuple(tuple(sorted(lst)) for lst in edges)
 
 
 def _split_sum(body: str) -> list:

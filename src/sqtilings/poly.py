@@ -7,7 +7,7 @@ small types cover everything the counting code needs:
   generating function.  The coefficient of t^k is a number of tilings
   that use exactly k large squares.
 * ``BiPoly`` -- two variables: z marks completed rows, t marks placed
-  squares.  Transfer-matrix entries and generating functions live here.
+  squares.  Generating functions live here.
 * ``RatFun`` -- a BiPoly numerator/denominator pair kept in a canonical
   form: shared integer content removed, denominator constant term +1.
 
@@ -39,17 +39,6 @@ def _pack(z_exp: int, t_exp: int) -> int:
 
 # ---------------------------------------------------------------------------
 # raw term-map helpers; a term map is dict[packed_key, nonzero int]
-
-
-def _add_terms(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return out
 
 
 def _neg_terms(a: dict) -> dict:
@@ -248,14 +237,6 @@ class BiPoly:
         self.terms = terms if terms else {}
 
     @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls({0: 1})
-
-    @classmethod
     def term(cls, coeff: int, z: int = 0, t: int = 0) -> "BiPoly":
         return cls({_pack(z, t): coeff} if coeff else {})
 
@@ -272,9 +253,6 @@ class BiPoly:
 
     def substitute_t(self, value: int) -> "BiPoly":
         return BiPoly(_subs_t_terms(self.terms, value))
-
-    def __add__(self, other):
-        return BiPoly(_add_terms(self.terms, other.terms))
 
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self.terms == other.terms

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from sqtilings import build_matrix, enumerate_states, generating_function
+from sqtilings import enumerate_states, generating_function
 from sqtilings.poly import RatFun
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "closed_forms"
@@ -15,7 +15,7 @@ def gf_of():
 
     def compute(s: int, n: int) -> RatFun:
         if (s, n) not in cache:
-            cache[(s, n)] = generating_function(build_matrix(enumerate_states(s, n)))
+            cache[(s, n)] = generating_function(enumerate_states(s, n).edges)
         return cache[(s, n)]
 
     return compute

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from sqtilings.engine import enumerate_states
-from sqtilings.gfun import build_matrix, generating_function, parse_cas_script, emit_cas_script, series_expand
+from sqtilings.gfun import generating_function, parse_cas_script, emit_cas_script, series_expand
 from sqtilings.identities import check_conjectures, run_verification
 from sqtilings.oracle import brute_force_counts
 from sqtilings.series import count_table
@@ -61,7 +61,7 @@ def test_acceptance_2_closed_forms(load_gf_fixture):
     worst = 0.0
     for s, n in CLOSED_FORM_CASES:
         t0 = time.perf_counter()
-        mine = generating_function(build_matrix(enumerate_states(s, n)), dim_cap=400)
+        mine = generating_function(enumerate_states(s, n).edges, dim_cap=400)
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
         if not mine.equivalent(load_gf_fixture(f"s{s}_n{n}")) or elapsed > 30.0:
@@ -95,7 +95,7 @@ def test_acceptance_4_series_equal_tables():
             graph = enumerate_states(s, n)
             if graph.dim > 60:
                 continue
-            rows = series_expand(generating_function(build_matrix(graph)), 12)
+            rows = series_expand(generating_function(graph.edges), 12)
             for m in range(13):
                 if tuple(rows[m].as_list()) != count_table(s, n, m).counts:
                     failures.append((s, n, m))
@@ -157,18 +157,14 @@ def test_acceptance_7_conjectured_patterns():
 
 def test_acceptance_8_cas_round_trip():
     failures = []
-    for s, n in [(2, 2), (2, 4), (3, 6)]:
-        mat = build_matrix(enumerate_states(s, n))
-        back = parse_cas_script(emit_cas_script(mat))
-        if not (
-            back.dim == mat.dim
-            and back.entries == mat.entries
-            and generating_function(back) == generating_function(mat)
-        ):
+    cases = [(1, 3), (2, 2), (2, 4), (3, 6)]
+    for s, n in cases:
+        edges = enumerate_states(s, n).edges
+        if parse_cas_script(emit_cas_script(edges)) != edges:
             failures.append((s, n))
     _verdict(
-        f"criterion 8: script emission round-trips the linear system for "
-        f"3 boards; failures: {failures or 'none'}",
+        f"criterion 8: script emission round-trips the transfer graph's edges "
+        f"for {len(cases)} boards; failures: {failures or 'none'}",
         not failures,
     )
 

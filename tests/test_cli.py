@@ -56,7 +56,7 @@ def test_table_json(capsys):
         ["gf", "--s", "-1", "--n", "3"],
         ["square", "--s", "2", "--size-max", "-3"],
         ["verify", "--oracle-cap", "-1"],
-        ["cas", "--s", "2", "--n", "2", "--gf-cap", "0"],
+        ["cas", "--s", "2", "--n", "0"],
     ],
 )
 def test_bad_numbers_are_usage_errors(capsys, argv):
@@ -119,6 +119,23 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "(1) / (1 - z - 2*z^2*t)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--s", "2", "--n", "3", "--m", "5"],
+        ["verify", "--s-max", "1", "--n-max", "2", "--m-max", "2",
+         "--oracle-cap", "0"],
+    ],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_small(capsys):

@@ -3,31 +3,13 @@ import pytest
 from sqtilings.engine import enumerate_states
 from sqtilings.gfun import (
     DimensionCapExceeded,
-    SymbolicTransferMatrix,
-    build_matrix,
     emit_cas_script,
     generating_function,
     parse_cas_script,
     series_expand,
 )
-from sqtilings.poly import BiPoly, RatFun
+from sqtilings.poly import RatFun
 from sqtilings.series import count_table
-
-
-def test_build_matrix_width_two():
-    mat = build_matrix(enumerate_states(2, 2))
-    assert mat.dim == 2
-    assert mat.entries == {
-        (0, 0): BiPoly.parse("z"),
-        (0, 1): BiPoly.parse("z"),
-        (1, 0): BiPoly.parse("z*t"),
-    }
-
-
-def test_build_matrix_aggregates_unit_square_edges():
-    mat = build_matrix(enumerate_states(1, 2))
-    assert mat.dim == 1
-    assert mat.entries == {(0, 0): BiPoly.parse("z + 2*z*t + z*t^2")}
 
 
 @pytest.mark.parametrize(
@@ -43,7 +25,7 @@ def test_build_matrix_aggregates_unit_square_edges():
     ],
 )
 def test_narrow_boards_have_exact_closed_forms(s, n, expected):
-    ratio = generating_function(build_matrix(enumerate_states(s, n)))
+    ratio = generating_function(enumerate_states(s, n).edges)
     assert ratio.render() == expected
 
 
@@ -77,9 +59,8 @@ def test_series_requires_unit_denominator_head():
 
 
 def test_dimension_cap():
-    mat = build_matrix(enumerate_states(2, 4))
     with pytest.raises(DimensionCapExceeded) as err:
-        generating_function(mat, dim_cap=3)
+        generating_function(enumerate_states(2, 4).edges, dim_cap=3)
     assert err.value.dim == 4
     assert err.value.cap == 3
 
@@ -93,7 +74,7 @@ def test_row_sum_specialization_matches_sequences(gf_of):
 
 
 def test_cas_script_exact_text():
-    script = emit_cas_script(build_matrix(enumerate_states(2, 2)))
+    script = emit_cas_script(enumerate_states(2, 2).edges)
     assert script == (
         "eq_0 := x0 = 1 + z*x0 + z*x1;\n"
         "eq_1 := x1 = z*t*x0;\n"
@@ -103,17 +84,25 @@ def test_cas_script_exact_text():
 
 
 def test_cas_script_parenthesizes_sums():
-    script = emit_cas_script(build_matrix(enumerate_states(1, 2)))
+    script = emit_cas_script(enumerate_states(1, 2).edges)
     assert "eq_0 := x0 = 1 + (z + 2*z*t + z*t^2)*x0;" in script.splitlines()[0]
 
 
 def test_cas_round_trip_preserves_system():
-    for s, n in [(1, 3), (2, 3), (2, 4), (3, 5), (3, 6)]:
-        mat = build_matrix(enumerate_states(s, n))
-        back = parse_cas_script(emit_cas_script(mat))
-        assert back.dim == mat.dim
-        assert back.entries == mat.entries
-        assert generating_function(back) == generating_function(mat)
+    # s = 1 has the binomial multiplicities, s >= 2 multiplicities 1 and 2
+    cases = [(1, 1), (1, 3), (1, 5), (2, 3), (2, 4), (2, 7), (3, 5), (3, 6), (6, 14)]
+    for s, n in cases:
+        edges = enumerate_states(s, n).edges
+        assert parse_cas_script(emit_cas_script(edges)) == edges
+
+
+def test_cas_parser_sums_like_terms():
+    # edges of s = 1, n = 2: one state, 1 + 2*t + t^2 advances
+    script = "eq_0 := x0 = 1 + z*x0 + z*t*x0 + z*t*x0 + z*t^2*x0;"
+    assert parse_cas_script(script) == (((0, 0, 1), (0, 1, 2), (0, 2, 1)),)
+    assert parse_cas_script(
+        "eq_0 := x0 = 1 + z*x1;\neq_1 := x1 = (2*z*t)*x0 + z*x1 - z*x1;"
+    ) == (((1, 1, 2),), ((0, 0, 1),))
 
 
 def test_cas_parser_rejects_malformed_scripts():
@@ -125,15 +114,15 @@ def test_cas_parser_rejects_malformed_scripts():
         parse_cas_script("eq_0 := x0 = z*x0;\n")  # head constant missing
     with pytest.raises(ValueError):
         parse_cas_script("eq_0 := x0 = 1 + z*x7;\n")
+    with pytest.raises(ValueError):
+        parse_cas_script("eq_0 := x0 = 1 + z*x0;\neq_0 := x0 = z*x0;\n")
+    # an entry of M is a sum of positive multiples of z*t^k, nothing else
+    for body in ("1 + x0", "1 - z*x0", "1 + z^2*x0", "1 + 1 + z*x0"):
+        with pytest.raises(ValueError):
+            parse_cas_script(f"eq_0 := x0 = {body};\n")
 
 
 def test_fixture_forms_small(gf_of, load_gf_fixture):
     assert gf_of(2, 4).equivalent(load_gf_fixture("s2_n4"))
     assert gf_of(3, 6).equivalent(load_gf_fixture("s3_n6"))
     assert gf_of(2, 4).substitute_t(1).equivalent(load_gf_fixture("s2_n4_t1"))
-
-
-def test_matrix_repr_and_entry_default():
-    mat = SymbolicTransferMatrix(2, {(0, 0): BiPoly.parse("z")})
-    assert repr(mat) == "SymbolicTransferMatrix(dim=2, nnz=1)"
-    assert mat.entries == {(0, 0): BiPoly.parse("z")}

@@ -7,27 +7,25 @@ from sqtilings.poly import (
     BiPoly,
     PolyT,
     RatFun,
-    _add_terms,
+    _cross_terms,
     _exact_div_terms,
     _mul_terms,
     _neg_terms,
+    _pack,
 )
 
 exponents = st.integers(min_value=0, max_value=6)
-coefficients = st.integers(min_value=-9, max_value=9)
+coefficients = st.integers(min_value=-9, max_value=9).filter(bool)
 bipolys = st.dictionaries(
     st.tuples(exponents, exponents), coefficients, max_size=6
-).map(lambda terms: sum(
-    (BiPoly.term(c, z, t) for (z, t), c in terms.items()), BiPoly.zero()
-))
+).map(lambda terms: BiPoly({_pack(z, t): c for (z, t), c in terms.items()}))
 nonzero_bipolys = bipolys.filter(lambda p: not p.is_zero)
 
 
 def test_parse_simple():
     p = BiPoly.parse("1 - z - 2*z^2*t")
-    assert p == BiPoly.term(1) + BiPoly.term(-1, z=1) + BiPoly.term(-2, z=2, t=1)
+    assert p.terms == {_pack(0, 0): 1, _pack(1, 0): -1, _pack(2, 1): -2}
     assert (p.coeff(0, 0), p.coeff(1, 0), p.coeff(2, 1)) == (1, -1, -2)
-    assert len(p.terms) == 3
 
 
 def test_parse_any_factor_order_and_whitespace():
@@ -37,7 +35,7 @@ def test_parse_any_factor_order_and_whitespace():
 
 
 def test_parse_accumulates_duplicate_monomials():
-    assert BiPoly.parse("z + z - 2*z") == BiPoly.zero()
+    assert BiPoly.parse("z + z - 2*z") == BiPoly()
 
 
 def test_parse_rejects_garbage():
@@ -55,8 +53,8 @@ def test_render_graded_lex_order():
 
 
 def test_render_zero_and_units():
-    assert BiPoly.zero().render() == "0"
-    assert BiPoly.one().render() == "1"
+    assert BiPoly().render() == "0"
+    assert BiPoly.term(1).render() == "1"
     assert BiPoly.term(-1, t=1).render() == "-t"
     assert BiPoly.term(1, z=2, t=2).render() == "z^2*t^2"
 
@@ -68,7 +66,11 @@ def test_render_parse_round_trip(p):
 
 @given(bipolys, bipolys, bipolys)
 def test_ring_laws(a, b, c):
-    add, mul = _add_terms, _mul_terms
+    # addition through the elimination kernel: a*1 - b*(-1)
+    def add(a, b):
+        return _cross_terms(a, {0: 1}, b, {0: -1})
+
+    mul = _mul_terms
     a, b, c = a.terms, b.terms, c.terms
     assert add(a, b) == add(b, a)
     assert mul(a, b) == mul(b, a)
@@ -153,9 +155,9 @@ def test_ratfun_normalization_idempotent():
 
 def test_ratfun_rejects_bad_denominators():
     with pytest.raises(ValueError):
-        RatFun(BiPoly.one(), BiPoly.zero())
+        RatFun(BiPoly.term(1), BiPoly())
     with pytest.raises(ValueError):
-        RatFun(BiPoly.one(), BiPoly.parse("z + z^2"))
+        RatFun(BiPoly.term(1), BiPoly.parse("z + z^2"))
     with pytest.raises(ValueError):
         RatFun.parse("1 - z")
 
