@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 
 from . import __version__
 from .engine import DEFAULT_STATE_CAP, StateCapExceeded, enumerate_states
@@ -34,13 +34,6 @@ from .oracle import DEFAULT_CELL_CAP, BoardTooLarge
 from .series import count_tables, paper_line, square_table, table_record, tables_to_csv
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _render_tables(tables, fmt: str) -> str:
     if fmt == "paper":
         return "\n".join(paper_line(t) for t in tables) + "\n"
@@ -49,32 +42,32 @@ def _render_tables(tables, fmt: str) -> str:
     return json.dumps([table_record(t) for t in tables], indent=2) + "\n"
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, out) -> int:
     if args.m is not None:
         tables = count_tables(args.s, args.n, args.m, args.state_cap)[args.m:]
     else:
         tables = count_tables(args.s, args.n, args.m_max, args.state_cap)
-    _emit(_render_tables(tables, args.format), args.out)
+    out.write(_render_tables(tables, args.format))
     return 0
 
 
-def cmd_square(args) -> int:
+def cmd_square(args, out) -> int:
     tables = square_table(args.s, args.size_max, args.state_cap)
-    _emit(_render_tables(tables, args.format), args.out)
+    out.write(_render_tables(tables, args.format))
     return 0
 
 
-def cmd_gf(args) -> int:
+def cmd_gf(args, out) -> int:
     graph = enumerate_states(args.s, args.n, args.state_cap)
     ratio = generating_function(graph.edges, args.gf_cap)
     lines = [ratio.render()]
     if args.row_sums:
         lines.append(ratio.substitute_t(1).render())
-    _emit("\n".join(lines) + "\n", args.out)
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     reports = run_verification(
         s_max=args.s_max,
         n_max=args.n_max,
@@ -88,20 +81,20 @@ def cmd_verify(args) -> int:
             "passed": ok,
             "reports": [r.to_json_dict() for r in reports],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        out.write(json.dumps(payload, indent=2) + "\n")
     else:
         lines = [r.render_text() for r in reports]
         total = sum(sum(1 for c in r.checks if not c.informational) for r in reports)
         verdict = "all passed" if ok else "FAILURES above"
         lines.append(f"{total} enforced checks: {verdict}")
-        _emit("\n".join(lines) + "\n", args.out)
+        out.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
-def cmd_cas(args) -> int:
+def cmd_cas(args, out) -> int:
     graph = enumerate_states(args.s, args.n, args.state_cap)
     script = emit_cas_script(graph.edges)
-    _emit(script, args.out)
+    out.write(script)
     if args.check:
         if parse_cas_script(script) != graph.edges:
             print("cas round-trip mismatch", file=sys.stderr)
@@ -213,7 +206,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # open --out before the work starts, as shell redirection does
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+            return args.func(args, out)
     except (StateCapExceeded, BoardTooLarge, DimensionCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,21 @@
 """Independent ground truth: cell-by-cell exact-cover counting on a bitboard.
 
 This deliberately shares nothing with the lane-based transfer machinery.
-The board is scanned in row-major order; the first empty cell is covered
-either by a monomer or by an s x s square anchored there, which generates
-every tiling exactly once.  Identical occupancy patterns reached along
-different placement histories are collapsed through a memo table keyed on
-the occupancy bitmask, so the count stays exact while boards near the cell
-cap (squares of size 1 in particular, where all 2^(n*m) tilings share a
-handful of masks) remain tractable.
+Counts do not change under rotation, so the board is scanned in row-major
+order with its rows along the shorter side, in one forward pass over the
+cells.  The state at cell p is the occupancy bitmask of cells p, p+1, ...
+left by the squares placed so far.  An empty cell p is covered either by a
+monomer or by an s x s square anchored there, which generates every tiling
+exactly once; identical masks reached along different placement histories
+are merged, so the count stays exact while boards near the cell cap remain
+tractable.  Each state carries its polynomial in t packed into one int,
+with slot width cells + 1: a tiling is fixed by its set of square anchors,
+a subset of the cells, so every coefficient is at most 2^cells and fits.
 """
 
 from __future__ import annotations
 
-import sys
-
-from .series import CountTable, _trim
+from .series import CountTable
 
 DEFAULT_CELL_CAP = 64
 
@@ -37,46 +38,34 @@ def brute_force_counts(
     cells = n * m
     if cells > cell_cap:
         raise BoardTooLarge(cells, cell_cap)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * cells + 200))
 
-    full = (1 << cells) - 1
-    # footprint masks of squares anchored at their top-left cell; row-major
-    # cell index r*m + c, square spans rows r..r+s-1 and columns c..c+s-1
-    square: dict = {}
-    if s <= n and s <= m:
-        base = 0
-        for r in range(s):
-            for c in range(s):
-                base |= 1 << (r * m + c)
-        for r in range(n - s + 1):
-            for c in range(m - s + 1):
-                square[r * m + c] = base << (r * m + c)
+    rows, cols = max(n, m), min(n, m)
+    width = cells + 1
+    # footprint of a square anchored at the current cell, bit 0 = that cell
+    foot = sum(1 << (r * cols + c) for r in range(s) for c in range(s))
+    states = {0: 1}  # occupancy of cells p, p+1, ... -> packed t-polynomial
+    for r in range(rows):
+        fits_row = r + s <= rows
+        for c in range(cols):
+            fits = fits_row and c + s <= cols
+            nxt: dict = {}
+            for mask, poly in states.items():
+                # monomer on an empty cell, or step past a covered one
+                key = mask >> 1
+                nxt[key] = nxt.get(key, 0) + poly
+                if fits and not (mask & foot):
+                    key = (mask | foot) >> 1
+                    nxt[key] = nxt.get(key, 0) + (poly << width)
+            states = nxt
 
-    memo: dict = {}
-
-    def rec(mask: int) -> tuple:
-        if mask == full:
-            return (1,)
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        bit = (mask + 1) & ~mask  # lowest empty cell
-        acc = list(rec(mask | bit))
-        sq = square.get(bit.bit_length() - 1)
-        if sq is not None and not (mask & sq):
-            sub = rec(mask | sq)
-            if len(acc) < len(sub) + 1:
-                acc.extend([0] * (len(sub) + 1 - len(acc)))
-            for k, c in enumerate(sub):
-                acc[k + 1] += c
-        res = tuple(acc)
-        memo[mask] = res
-        return res
-
-    counts = list(rec(0))
+    (packed,) = states.values()
+    counts = []  # the top slot is nonzero, so no trailing zeros to trim
+    while packed:
+        counts.append(packed & ((1 << width) - 1))
+        packed >>= width
     if len(counts) > cells // (s * s) + 1:
         raise RuntimeError(
             f"{n} x {m} board: {len(counts) - 1} squares of side {s} "
             "exceed the area bound"
         )
-    return CountTable(s, n, m, _trim(counts))
+    return CountTable(s, n, m, tuple(counts))

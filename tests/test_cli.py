@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sqtilings import cli
 from sqtilings.cli import main
 
 
@@ -132,6 +133,19 @@ def test_out_writes_file(tmp_path, capsys):
 def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "x.txt"
     code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_out_is_opened_before_the_work(tmp_path, capsys, monkeypatch):
+    def fail(**kwargs):
+        raise AssertionError("verification ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_verification", fail)
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "verify", "--out", str(target))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

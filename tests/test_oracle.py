@@ -1,17 +1,16 @@
+import sys
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sqtilings.oracle import BoardTooLarge, brute_force_counts
-from sqtilings.series import count_table
+from sqtilings.series import CountTable, count_tables
 
 
 def test_headline_board():
-    table = brute_force_counts(2, 3, 5)
-    assert table.counts == (1, 8, 12)
-    assert table.counts[2] == 12
+    # whole tables: the scan runs along the shorter side, but n and m are kept
+    assert brute_force_counts(2, 3, 5) == CountTable(2, 3, 5, (1, 8, 12))
+    assert brute_force_counts(2, 5, 3) == CountTable(2, 5, 3, (1, 8, 12))
 
 
 def test_known_counts():
@@ -42,11 +41,21 @@ def test_cell_cap():
     assert brute_force_counts(2, 9, 8, cell_cap=72).counts[0] == 1
 
 
-@settings(deadline=None, max_examples=40)
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=5),
-)
-def test_agrees_with_transfer_matrix(s, n, m):
-    assert brute_force_counts(s, n, m).counts == count_table(s, n, m).counts
+def test_long_board_keeps_recursion_limit():
+    limit = sys.getrecursionlimit()
+    assert brute_force_counts(2, 1, 3000, cell_cap=3000).counts == (1,)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_long_thin_board():
+    assert brute_force_counts(2, 4, 400, cell_cap=1600) == count_tables(2, 4, 400)[400]
+
+
+def test_agrees_with_transfer_matrix():
+    # every board with s <= 6 and both sides <= 8: n < m and n > m, and the
+    # footprints of s = 5 and 6 that are wider than some boards
+    for s in range(1, 7):
+        for n in range(1, 9):
+            tables = count_tables(s, n, 8)
+            for m in range(9):
+                assert brute_force_counts(s, n, m) == tables[m]
