@@ -12,14 +12,15 @@ import argparse
 import sys
 import time
 
+from sqtilings.cli import _non_negative, _positive
 from sqtilings.identities import check_conjectures
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--s-max", type=int, default=8,
+    parser.add_argument("--s-max", type=_positive, default=8,
                         help="largest square side to test (default 8)")
-    parser.add_argument("--oracle-cap", type=int, default=64,
+    parser.add_argument("--oracle-cap", type=_non_negative, default=64,
                         help="cell budget for oracle recounts, 0 to disable")
     args = parser.parse_args()
 

@@ -9,15 +9,16 @@ catalog for s up to 6 and boards up to 13 columns takes a few seconds.
 import argparse
 import sys
 
+from sqtilings.cli import _non_negative, _positive
 from sqtilings.series import count_tables, paper_line, tables_to_csv
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--s-min", type=int, default=2)
-    parser.add_argument("--s-max", type=int, default=6)
-    parser.add_argument("--n-max", type=int, default=8)
-    parser.add_argument("--m-max", type=int, default=13)
+    parser.add_argument("--s-min", type=_positive, default=2)
+    parser.add_argument("--s-max", type=_positive, default=6)
+    parser.add_argument("--n-max", type=_positive, default=8)
+    parser.add_argument("--m-max", type=_non_negative, default=13)
     parser.add_argument("--format", choices=["paper", "csv"], default="paper")
     parser.add_argument("--out", help="write here instead of stdout")
     args = parser.parse_args()

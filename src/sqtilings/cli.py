@@ -122,25 +122,6 @@ _positive = _int_at_least(1)
 _non_negative = _int_at_least(0)
 
 
-def _add_cap_args(sub, *, gf=False, oracle=False):
-    sub.add_argument(
-        "--state-cap", type=_positive, default=DEFAULT_STATE_CAP, metavar="N",
-        help="abort if the transfer graph needs more states than this",
-    )
-    if gf:
-        sub.add_argument(
-            "--gf-cap", type=_positive, default=DEFAULT_DIM_CAP, metavar="N",
-            help="abort if the linear system is larger than this",
-        )
-    if oracle:
-        sub.add_argument(
-            "--oracle-cap", type=_non_negative, default=DEFAULT_CELL_CAP,
-            metavar="CELLS",
-            help="largest board, in cells, recounted by the exhaustive "
-            "oracle (0 disables the oracle cross-checks)",
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqtilings",
@@ -150,7 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("table", help="count tables for one board height")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="write to this file instead of stdout")
+    common.add_argument(
+        "--state-cap", type=_positive, default=DEFAULT_STATE_CAP, metavar="N",
+        help="abort if the transfer graph needs more states than this",
+    )
+
+    p = subs.add_parser("table", parents=[common],
+                        help="count tables for one board height")
     p.add_argument("--s", type=_positive, required=True, help="square side length")
     p.add_argument("--n", type=_positive, required=True, help="board height")
     length = p.add_mutually_exclusive_group(required=True)
@@ -158,45 +147,49 @@ def build_parser() -> argparse.ArgumentParser:
     length.add_argument("--m-max", type=_non_negative, metavar="M",
                         help="emit all lengths 0..M from one sweep")
     p.add_argument("--format", choices=["paper", "csv", "json"], default="paper")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    _add_cap_args(p)
     p.set_defaults(func=cmd_table)
 
-    p = subs.add_parser("square", help="count tables for square boards")
+    p = subs.add_parser("square", parents=[common],
+                        help="count tables for square boards")
     p.add_argument("--s", type=_positive, required=True, help="square side length")
     p.add_argument("--size-max", type=_positive, required=True, metavar="N",
                    help="largest board size, runs 1x1 up to NxN")
     p.add_argument("--format", choices=["paper", "csv", "json"], default="paper")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    _add_cap_args(p)
     p.set_defaults(func=cmd_square)
 
-    p = subs.add_parser("gf", help="closed-form generating function")
+    p = subs.add_parser("gf", parents=[common],
+                        help="closed-form generating function")
     p.add_argument("--s", type=_positive, required=True, help="square side length")
     p.add_argument("--n", type=_positive, required=True, help="board height")
     p.add_argument("--row-sums", action="store_true",
                    help="also print the t=1 specialization")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    _add_cap_args(p, gf=True)
+    p.add_argument(
+        "--gf-cap", type=_positive, default=DEFAULT_DIM_CAP, metavar="N",
+        help="abort if the linear system is larger than this",
+    )
     p.set_defaults(func=cmd_gf)
 
-    p = subs.add_parser("verify", help="run identity and conjecture checks")
+    p = subs.add_parser("verify", parents=[common],
+                        help="run identity and conjecture checks")
     p.add_argument("--s-max", type=_positive, default=5)
     p.add_argument("--n-max", type=_positive, default=10)
     p.add_argument("--m-max", type=_non_negative, default=10)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    _add_cap_args(p, oracle=True)
+    p.add_argument(
+        "--oracle-cap", type=_non_negative, default=DEFAULT_CELL_CAP,
+        metavar="CELLS",
+        help="largest board, in cells, recounted by the exhaustive "
+        "oracle (0 disables the oracle cross-checks)",
+    )
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("cas", help="emit the transfer system as a script")
+    p = subs.add_parser("cas", parents=[common],
+                        help="emit the transfer system as a script")
     p.add_argument("--s", type=_positive, required=True, help="square side length")
     p.add_argument("--n", type=_positive, required=True, help="board height")
     p.add_argument("--check", action="store_true",
                    help="parse the emitted script back and compare it with "
                    "the transfer graph's edges")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    _add_cap_args(p)
     p.set_defaults(func=cmd_cas)
 
     return parser

@@ -23,7 +23,6 @@ the multiplicities are binomials.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 DEFAULT_STATE_CAP = 100_000
@@ -97,7 +96,6 @@ class TransferGraph:
         return f"TransferGraph(s={self.s}, n={self.n}, dim={self.dim})"
 
 
-@lru_cache(maxsize=128)
 def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGraph:
     """Breadth-first enumeration of reachable canonical fronts, in discovery order."""
     if s < 1 or n < 1:

@@ -16,16 +16,21 @@ is an easy recurrence to misremember.
 The two ``check_conjectures`` patterns (boards 2s x (2s+1) and
 2s x (2s+2)) are conjectured, not proved; a failure there would be a
 discovery, so they are enforced and surfaced loudly rather than hidden.
+
+Each check reads its boards through ``tables(s, n, m_max)``, which
+returns the count tables for m = 0 .. at least m_max (by default
+:func:`count_tables`); :func:`run_verification` gives all five checks one
+such source, so a run sweeps each (s, n) once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 from .engine import DEFAULT_STATE_CAP
 from .oracle import brute_force_counts
-from .series import CountTable, _trim, count_table, count_tables
+from .series import CountTable, _trim, count_tables
 
 
 @dataclass(frozen=True)
@@ -81,17 +86,7 @@ class IdentityReport:
         return {
             "name": self.name,
             "passed": self.passed,
-            "checks": [
-                {
-                    "identity": c.identity,
-                    "params": c.params,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "ok": c.ok,
-                    "informational": c.informational,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -107,7 +102,7 @@ def check_basic(
     s_max: int = 5,
     n_max: int = 10,
     m_max: int = 10,
-    state_cap: int = DEFAULT_STATE_CAP,
+    tables=count_tables,
     oracle_cell_cap: int | None = None,
 ) -> IdentityReport:
     """Coefficient identities that hold for every board.
@@ -121,10 +116,10 @@ def check_basic(
     """
     report = IdentityReport("basic count identities")
     for s in range(1, s_max + 1):
-        tables = {n: count_tables(s, n, m_max, state_cap) for n in range(1, n_max + 1)}
+        by_n = {n: tables(s, n, m_max) for n in range(1, n_max + 1)}
         for n in range(1, n_max + 1):
             for m in range(0, m_max + 1):
-                table = tables[n][m]
+                table = by_n[n][m]
                 report.add(
                     "zero_squares",
                     {"s": s, "n": n, "m": m},
@@ -164,8 +159,8 @@ def check_basic(
                 report.add(
                     "rotation_symmetry",
                     {"s": s, "n": a, "m": b},
-                    tables[a][b].counts,
-                    tables[b][a].counts,
+                    by_n[a][b].counts,
+                    by_n[b][a].counts,
                 )
         if oracle_cell_cap:
             for n in range(1, n_max + 1):
@@ -176,7 +171,7 @@ def check_basic(
                         "oracle_agreement",
                         {"s": s, "n": n, "m": m},
                         brute_force_counts(s, n, m, oracle_cell_cap).counts,
-                        tables[n][m].counts,
+                        by_n[n][m].counts,
                     )
     return report
 
@@ -184,7 +179,7 @@ def check_basic(
 def check_single_lane(
     s_max: int = 5,
     m_max: int = 20,
-    state_cap: int = DEFAULT_STATE_CAP,
+    tables=count_tables,
 ) -> IdentityReport:
     """Boards of height exactly s, where everything is known in closed form.
 
@@ -194,15 +189,15 @@ def check_single_lane(
     """
     report = IdentityReport("single-lane closed forms")
     for s in range(1, s_max + 1):
-        tables = count_tables(s, s, m_max, state_cap)
-        sums = [t.row_sum for t in tables]
+        lane = tables(s, s, m_max)
+        sums = [t.row_sum for t in lane]
         for m in range(0, m_max + 1):
             expected = _trim([comb(m - (s - 1) * k, k) for k in range(m // s + 1)])
             report.add(
                 "single_lane_binomial",
                 {"s": s, "m": m},
                 expected,
-                tables[m].counts,
+                lane[m].counts,
             )
         for m in range(s, m_max + 1):
             report.add(
@@ -226,7 +221,7 @@ def check_subwidth(
     s_max: int = 5,
     n_max: int = 10,
     m_max: int = 10,
-    state_cap: int = DEFAULT_STATE_CAP,
+    tables=count_tables,
 ) -> IdentityReport:
     """Boards with s <= n < 2s factor through the single-lane counts.
 
@@ -236,9 +231,9 @@ def check_subwidth(
     """
     report = IdentityReport("subwidth product structure")
     for s in range(1, s_max + 1):
-        base = count_tables(s, s, m_max, state_cap)
+        base = tables(s, s, m_max)
         for n in range(s, min(2 * s - 1, n_max) + 1):
-            tables = count_tables(s, n, m_max, state_cap)
+            wide = tables(s, n, m_max)
             for m in range(0, m_max + 1):
                 expected = tuple(
                     (n - s + 1) ** k * c for k, c in enumerate(base[m].counts)
@@ -247,14 +242,14 @@ def check_subwidth(
                     "subwidth_offset_factor",
                     {"s": s, "n": n, "m": m},
                     expected,
-                    tables[m].counts,
+                    wide[m].counts,
                 )
     return report
 
 
 def check_two_s_square(
     s_max: int = 5,
-    state_cap: int = DEFAULT_STATE_CAP,
+    tables=count_tables,
 ) -> IdentityReport:
     """The 2s x 2s board has the same count vector for every s.
 
@@ -268,7 +263,7 @@ def check_two_s_square(
             "two_s_square_counts",
             {"s": s, "n": 2 * s, "m": 2 * s},
             expected,
-            count_table(s, 2 * s, 2 * s, state_cap).counts,
+            tables(s, 2 * s, 2 * s)[2 * s].counts,
         )
     return report
 
@@ -276,7 +271,7 @@ def check_two_s_square(
 def check_conjectures(
     near_square_s=(2, 3, 4),
     offset_square_s=(3, 4),
-    state_cap: int = DEFAULT_STATE_CAP,
+    tables=count_tables,
     oracle_cell_cap: int | None = None,
 ) -> IdentityReport:
     """Conjectured count vectors for boards one or two columns past 2s x 2s.
@@ -299,7 +294,7 @@ def check_conjectures(
             if s < s_min:
                 continue
             n, m = 2 * s, 2 * s + extra
-            actual = count_table(s, n, m, state_cap).counts
+            actual = tables(s, n, m)[m].counts
             report.add(identity, {"s": s, "n": n, "m": m}, vector(s), actual)
             if oracle_cell_cap and n * m <= oracle_cell_cap:
                 report.add(
@@ -318,11 +313,23 @@ def run_verification(
     state_cap: int = DEFAULT_STATE_CAP,
     oracle_cell_cap: int | None = None,
 ) -> list:
-    """Every identity report in one list, for the CLI and the test suite."""
+    """Every identity report in one list, for the CLI and the test suite.
+
+    The checks share one table source; it sweeps an (s, n) again only when
+    a check asks for a longer board than the stored sweep reached.
+    """
+    swept: dict = {}
+
+    def tables(s, n, m):
+        have = swept.get((s, n))
+        if have is None or len(have) <= m:
+            have = swept[(s, n)] = count_tables(s, n, m, state_cap)
+        return have
+
     return [
-        check_basic(s_max, n_max, m_max, state_cap, oracle_cell_cap),
-        check_single_lane(s_max, max(m_max, 2 * s_max), state_cap),
-        check_subwidth(s_max, n_max, m_max, state_cap),
-        check_two_s_square(s_max, state_cap),
-        check_conjectures(state_cap=state_cap, oracle_cell_cap=oracle_cell_cap),
+        check_basic(s_max, n_max, m_max, tables, oracle_cell_cap),
+        check_single_lane(s_max, max(m_max, 2 * s_max), tables),
+        check_subwidth(s_max, n_max, m_max, tables),
+        check_two_s_square(s_max, tables),
+        check_conjectures(tables=tables, oracle_cell_cap=oracle_cell_cap),
     ]

@@ -38,7 +38,6 @@ def _verdict(line: str, ok: bool) -> None:
 
 
 def test_acceptance_1_headline_board_dual_route():
-    enumerate_states.cache_clear()
     t0 = time.perf_counter()
     via_transfer = count_table(2, 3, 5)
     via_oracle = brute_force_counts(2, 3, 5)

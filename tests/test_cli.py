@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sqtilings import cli
 from sqtilings.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -69,6 +75,27 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep_boards.py", "--m-max", "-1"],
+        ["sweep_boards.py", "--s-min", "0"],
+        ["probe_conjectures.py", "--s-max", "0"],
+        ["probe_conjectures.py", "--oracle-cap", "-1"],
+    ],
+)
+def test_script_bad_numbers_are_usage_errors(argv):
+    script, *flags = argv
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *flags],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error: argument --" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_table_requires_one_length_flag(capsys):
     for lengths in ([], ["--m", "4", "--m-max", "5"]):
         with pytest.raises(SystemExit) as exc:
@@ -102,6 +129,14 @@ def test_state_cap_exit_code(capsys):
                        "--state-cap", "100")
     assert code == 2
     assert "cap is 100" in err
+
+
+def test_verify_state_cap_exit_code(capsys):
+    code, out, err = run(capsys, "verify", "--state-cap", "10")
+    assert code == 2
+    assert out == ""
+    assert "cap is 10" in err
+    assert "Traceback" not in err
 
 
 def test_square_paper_lines(capsys):

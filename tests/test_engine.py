@@ -103,10 +103,6 @@ def test_heights_decay_by_one_per_row():
                 break
 
 
-def test_enumeration_cache_is_bounded():
-    assert enumerate_states.cache_info().maxsize is not None
-
-
 def test_state_cap():
     with pytest.raises(StateCapExceeded) as err:
         enumerate_states(2, 16, 100)

@@ -1,5 +1,6 @@
 import json
 
+from sqtilings import series
 from sqtilings.identities import (
     CheckResult,
     IdentityReport,
@@ -109,3 +110,18 @@ def test_run_verification_bundle():
     reports = run_verification(s_max=2, n_max=4, m_max=4, oracle_cell_cap=16)
     assert len(reports) == 5
     assert all(r.passed for r in reports)
+
+
+def test_run_verification_sweeps_each_system_once(monkeypatch):
+    swept = []
+    sweep = series._flat_entry_sweep
+
+    def counting_sweep(s, n, m_max, state_cap):
+        swept.append((s, n))
+        return sweep(s, n, m_max, state_cap)
+
+    monkeypatch.setattr(series, "_flat_entry_sweep", counting_sweep)
+    assert all(r.passed for r in run_verification())
+    # s = 1..5 by n = 1..10; every later check reads boards check_basic swept
+    assert len(set(swept)) == 50
+    assert len(swept) == 50
