@@ -30,7 +30,7 @@ from math import comb
 
 from .engine import DEFAULT_STATE_CAP
 from .oracle import brute_force_counts
-from .series import CountTable, _trim, count_tables
+from .series import CountTable, count_tables
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,12 @@ def check_basic(
                         by_n[n][m].counts,
                     )
     return report
+
+
+def _trim(counts: list) -> tuple:
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)
 
 
 def check_single_lane(

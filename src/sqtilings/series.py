@@ -9,6 +9,16 @@ all boards n x 0 .. n x M at the cost of the longest; :func:`count_table`
 is one entry of it.  This path involves no rational-function
 arithmetic at all, so it scales to long boards and independently
 cross-checks the closed forms from :mod:`sqtilings.gfun`.
+
+The sweep packs each state's polynomial into one int, coefficient k in
+the k-th slot of B bits (Kronecker substitution), so an edge of weight
+mult * t^k costs one shift-and-add: ``nxt[dst] += (x << k*B) * mult``.
+Every count is positive, so no coefficient, nor any partial sum of one,
+exceeds its polynomial's value at t = 1; a plain integer sweep at t = 1
+over the same edges therefore bounds every slot.  Ahead of each block of
+``_BLOCK`` steps it sets B to that bound in whole bytes, and the packed
+ints are repacked when B grows, so early steps do not carry the width
+of the last.  The flat-front entry is unpacked after every step.
 """
 
 from __future__ import annotations
@@ -39,39 +49,89 @@ class CountTable:
         return sum(self.counts)
 
 
+# Steps swept at one slot width, set ahead of them by the t = 1 sweep.
+_BLOCK = 16
+
+
 def _flat_entry_sweep(s, n, m_max, state_cap):
-    """Flat-front t-polynomials (dict exponent -> coeff) for m = 0 .. m_max."""
+    """Flat-front t-polynomials (dict exponent -> coeff) for m = 0 .. m_max.
+
+    Every coefficient is positive; see the module docstring for the packing.
+    """
     graph = enumerate_states(s, n, state_cap)
-    edges = graph.edges
-    vec = [{} for _ in range(graph.dim)]
-    vec[0] = {0: 1}
-    out = [vec[0]]
-    for _ in range(m_max):
-        nxt = [{} for _ in range(graph.dim)]
-        for src, poly in enumerate(vec):
-            if not poly:
-                continue
-            for dst, k, mult in edges[src]:
-                # counts are positive, so no sum cancels to zero; parallel
-                # edges (binomials for s = 1, mirror-image pairs for s >= 2)
-                # scale the source once, not per term
-                terms = (
-                    poly.items() if mult == 1
-                    else [(e, c * mult) for e, c in poly.items()]
-                )
-                acc = nxt[dst]
-                get = acc.get
-                for e, c in terms:
-                    acc[e + k] = get(e + k, 0) + c
-        vec = nxt
-        out.append(vec[0])
+    dim = graph.dim
+    # packed edges grouped by k, so each source is shifted once per k;
+    # t = 1 edges merged per destination
+    by_k = []
+    at_one = []
+    for edges in graph.edges:
+        groups: dict = {}
+        merged: dict = {}
+        for dst, k, mult in edges:
+            groups.setdefault(k, []).append((dst, mult))
+            merged[dst] = merged.get(dst, 0) + mult
+        by_k.append(tuple(groups.items()))
+        at_one.append(tuple(merged.items()))
+    ones = [1] + [0] * (dim - 1)  # each state's polynomial at t = 1
+    vec = list(ones)  # each state's polynomial, packed
+    width = 1  # bytes per slot
+    out = [{0: 1}]
+    for done in range(0, m_max, _BLOCK):
+        steps = min(_BLOCK, m_max - done)
+        # the t = 1 values over the block bound every slot it fills
+        bits = 0
+        for _ in range(steps):
+            nxt = [0] * dim
+            for src, x in enumerate(ones):
+                if not x:
+                    continue
+                for dst, mult in at_one[src]:
+                    nxt[dst] += x * mult
+            ones = nxt
+            bits = max(bits, max(ones).bit_length())
+        if bits > 8 * width:
+            wider = -(-bits // 8)
+            vec = [_widen(x, width, wider) for x in vec]
+            width = wider
+        slot = 8 * width
+        for _ in range(steps):
+            nxt = [0] * dim
+            for src, x in enumerate(vec):
+                if not x:
+                    continue
+                for k, targets in by_k[src]:
+                    y = x << (k * slot)
+                    for dst, mult in targets:
+                        nxt[dst] += y if mult == 1 else y * mult
+            vec = nxt
+            out.append(_unpack(vec[0], width))
     return out
 
 
-def _trim(counts: list) -> tuple:
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
+def _slot_bytes(x: int, width: int) -> bytes:
+    """x as little-endian slots of ``width`` bytes, the last one whole."""
+    slots = -(-x.bit_length() // (8 * width))
+    return x.to_bytes(slots * width, "little")
+
+
+def _widen(x: int, width: int, wider: int) -> int:
+    """Repack x from slots of ``width`` bytes into slots of ``wider`` bytes."""
+    data = _slot_bytes(x, width)
+    wide = bytearray(len(data) // width * wider)
+    for j in range(width):
+        wide[j::wider] = data[j::width]
+    return int.from_bytes(wide, "little")
+
+
+def _unpack(x: int, width: int) -> dict:
+    """Exponent -> coefficient for the nonzero slots of a packed polynomial."""
+    data = _slot_bytes(x, width)
+    poly = {}
+    for k, lo in enumerate(range(0, len(data), width)):
+        c = int.from_bytes(data[lo:lo + width], "little")
+        if c:
+            poly[k] = c
+    return poly
 
 
 def count_tables(

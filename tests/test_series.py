@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqtilings.engine import transitions
+from sqtilings.engine import enumerate_states, transitions
 from sqtilings.series import (
     CountTable,
+    _flat_entry_sweep,
     count_table,
     count_tables,
     paper_line,
@@ -68,6 +69,44 @@ def test_unit_squares_give_binomials(n):
         assert table.counts == tuple(comb(n * m, k) for k in range(n * m + 1))
 
 
+def _dict_sweep(edges, m_max):
+    """Flat-front t-polynomials for m = 0 .. m_max over (dst, k, mult)
+    edge lists, one dict entry per coefficient."""
+    vec = [{} for _ in edges]
+    vec[0] = {0: 1}
+    series = [vec[0]]
+    for _ in range(m_max):
+        nxt_vec = [{} for _ in edges]
+        for src, poly in enumerate(vec):
+            for dst, k, mult in edges[src]:
+                acc = nxt_vec[dst]
+                for e, c in poly.items():
+                    acc[e + k] = acc.get(e + k, 0) + c * mult
+        vec = nxt_vec
+        series.append(vec[0])
+    return series
+
+
+@pytest.mark.parametrize(
+    "s,n,m_max",
+    [(1, 4, 60), (2, 1, 40), (2, 8, 120), (3, 9, 100), (6, 14, 40), (2, 8, 0)],
+)
+def test_packed_sweep_matches_dict_sweep(s, n, m_max):
+    # long enough for the packed slots to widen several times
+    rows = _flat_entry_sweep(s, n, m_max, 1000)
+    assert len(rows) == m_max + 1
+    assert all(c > 0 for row in rows for c in row.values())
+    assert rows == _dict_sweep(enumerate_states(s, n).edges, m_max)
+
+
+def test_long_boards_match_closed_forms():
+    for m, table in enumerate(count_tables(1, 3, 150)):
+        assert table.counts == tuple(comb(3 * m, k) for k in range(3 * m + 1))
+    # a 2 x m strip: the squares fill k disjoint windows of length 2
+    for m, table in enumerate(count_tables(2, 2, 300)):
+        assert table.counts == tuple(comb(m - k, k) for k in range(m // 2 + 1))
+
+
 def _unlumped_flat_series(s, n, m_max, dim_cap):
     """Flat-front t-polynomials for m = 0 .. m_max, swept over the graph of
     all reachable fronts with no mirror lumping; None above dim_cap fronts."""
@@ -83,21 +122,9 @@ def _unlumped_flat_series(s, n, m_max, dim_cap):
                     return None
                 index[nxt] = len(states)
                 states.append(nxt)
-            out.append((index[nxt], k))
+            out.append((index[nxt], k, 1))
         edges.append(out)
-    vec = [{} for _ in states]
-    vec[0] = {0: 1}
-    series = [vec[0]]
-    for _ in range(m_max):
-        nxt_vec = [{} for _ in states]
-        for src, poly in enumerate(vec):
-            for dst, k in edges[src]:
-                acc = nxt_vec[dst]
-                for e, c in poly.items():
-                    acc[e + k] = acc.get(e + k, 0) + c
-        vec = nxt_vec
-        series.append(vec[0])
-    return series
+    return _dict_sweep(edges, m_max)
 
 
 def test_lumped_tables_match_unlumped_sweep():
