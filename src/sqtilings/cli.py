@@ -31,7 +31,14 @@ from .gfun import (
 )
 from .identities import run_verification
 from .oracle import DEFAULT_CELL_CAP, BoardTooLarge
-from .series import count_tables, paper_line, square_table, table_record, tables_to_csv
+from .series import (
+    count_table,
+    count_tables,
+    paper_line,
+    square_table,
+    table_record,
+    tables_to_csv,
+)
 
 
 def _render_tables(tables, fmt: str) -> str:
@@ -44,7 +51,7 @@ def _render_tables(tables, fmt: str) -> str:
 
 def cmd_table(args, out) -> int:
     if args.m is not None:
-        tables = count_tables(args.s, args.n, args.m, args.state_cap)[args.m:]
+        tables = [count_table(args.s, args.n, args.m, args.state_cap)]
     else:
         tables = count_tables(args.s, args.n, args.m_max, args.state_cap)
     out.write(_render_tables(tables, args.format))

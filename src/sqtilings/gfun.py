@@ -4,14 +4,14 @@ For fixed width n the bivariate generating function is the head component
 of the solution of (I - M) x = e0, where M is the weighted adjacency
 matrix of the transfer graph over Z[z, t].  Every route here reads that
 system in one format, ``TransferGraph.edges``: edge (dst, k, mult) out of
-src puts mult * z * t^k into entry (dst, src) of M.  The graph is lumped on
-mirror-image pairs of fronts (see :mod:`sqtilings.engine`), so M is the
-quotient system: its head component is the same rational function, and
-det(I - M) is a factor of the unlumped one.  The solve runs entirely in
-Z[z, t] using one-step fraction-free (Bareiss) elimination: every division
-performed is exact, so no rational-function or gcd machinery is needed,
-and the head component drops out of the final surviving equation as a
-numerator/denominator pair.
+src puts mult * z * t^k into entry (dst, src) of M.  The graph is the
+quotient of the front graph by its coarsest exact lumping (see
+:mod:`sqtilings.engine`), so its head component is the same rational
+function, and det(I - M) is a factor of the unlumped one.  The solve runs
+entirely in Z[z, t] using one-step fraction-free (Bareiss) elimination:
+every division performed is exact, so no rational-function or gcd
+machinery is needed, and the head component drops out of the final
+surviving equation as a numerator/denominator pair.
 
 Two implementation notes.  Pivots are free (full pivoting) and chosen to
 keep the active submatrix sparse: fewest-term entry first, then least

@@ -25,7 +25,7 @@ such source, so a run sweeps each (s, n) once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from math import comb
 
 from .engine import DEFAULT_STATE_CAP
@@ -33,20 +33,34 @@ from .oracle import brute_force_counts
 from .series import CountTable, count_tables
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    identity: str
-    params: dict
-    expected: object
-    actual: object
-    ok: bool
-    informational: bool = False
+class CheckResult(
+    namedtuple(
+        "CheckResult",
+        "identity params expected actual ok informational",
+        defaults=(False,),
+    )
+):
+    """One comparison of an expected value with the computed one."""
+
+    __slots__ = ()
 
 
-@dataclass
 class IdentityReport:
-    name: str
-    checks: list = field(default_factory=list)
+    """The named list of checks one check function ran."""
+
+    def __init__(self, name: str, checks=None):
+        self.name = name
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.checks) == (other.name, other.checks)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"IdentityReport(name={self.name!r}, checks={self.checks!r})"
 
     def add(self, identity, params, expected, actual, informational=False):
         self.checks.append(
@@ -86,7 +100,7 @@ class IdentityReport:
         return {
             "name": self.name,
             "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 

@@ -18,20 +18,21 @@ exceeds its polynomial's value at t = 1; a plain integer sweep at t = 1
 over the same edges therefore bounds every slot.  Ahead of each block of
 ``_BLOCK`` steps it sets B to that bound in whole bytes, and the packed
 ints are repacked when B grows, so early steps do not carry the width
-of the last.  The flat-front entry is unpacked after every step.
+of the last.  The sweep hands back the packed flat-front entry of every
+step: :func:`count_tables` unpacks each one, :func:`count_table` only
+the last.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import DEFAULT_STATE_CAP, enumerate_states
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "s n m counts")):
     """Tiling counts of one n x m board, indexed by number of squares used.
 
     counts[k] is exact and arbitrary precision; trailing zero entries are
@@ -39,10 +40,7 @@ class CountTable:
     area bound floor(n*m / s^2) is an upper limit, not always attained).
     """
 
-    s: int
-    n: int
-    m: int
-    counts: tuple
+    __slots__ = ()
 
     @property
     def row_sum(self) -> int:
@@ -53,11 +51,13 @@ class CountTable:
 _BLOCK = 16
 
 
-def _flat_entry_sweep(s, n, m_max, state_cap):
-    """Flat-front t-polynomials (dict exponent -> coeff) for m = 0 .. m_max.
+def _packed_sweep(s, n, m_max, state_cap):
+    """Yield the flat-front entry for m = 0 .. m_max as (packed int, slot bytes).
 
-    Every coefficient is positive; see the module docstring for the packing.
+    See the module docstring for the packing.
     """
+    if m_max < 0:
+        raise ValueError("board length must be >= 0")
     graph = enumerate_states(s, n, state_cap)
     dim = graph.dim
     # packed edges grouped by k, so each source is shifted once per k;
@@ -75,7 +75,7 @@ def _flat_entry_sweep(s, n, m_max, state_cap):
     ones = [1] + [0] * (dim - 1)  # each state's polynomial at t = 1
     vec = list(ones)  # each state's polynomial, packed
     width = 1  # bytes per slot
-    out = [{0: 1}]
+    yield 1, width
     for done in range(0, m_max, _BLOCK):
         steps = min(_BLOCK, m_max - done)
         # the t = 1 values over the block bound every slot it fills
@@ -104,8 +104,15 @@ def _flat_entry_sweep(s, n, m_max, state_cap):
                     for dst, mult in targets:
                         nxt[dst] += y if mult == 1 else y * mult
             vec = nxt
-            out.append(_unpack(vec[0], width))
-    return out
+            yield vec[0], width
+
+
+def _flat_entry_sweep(s, n, m_max, state_cap):
+    """Flat-front t-polynomials (dict exponent -> coeff) for m = 0 .. m_max.
+
+    Every coefficient is positive.
+    """
+    return [_unpack(x, width) for x, width in _packed_sweep(s, n, m_max, state_cap)]
 
 
 def _slot_bytes(x: int, width: int) -> bytes:
@@ -134,6 +141,17 @@ def _unpack(x: int, width: int) -> dict:
     return poly
 
 
+def _table(s: int, n: int, m: int, poly: dict) -> CountTable:
+    """The n x m board's table from its flat-front t-polynomial."""
+    top = max(poly)
+    if top > (n * m) // (s * s):
+        raise RuntimeError(
+            f"{n} x {m} board: {top} squares of side {s} exceed the area bound"
+        )
+    # poly holds only positive counts, so this ends on a nonzero entry
+    return CountTable(s, n, m, tuple(poly.get(k, 0) for k in range(top + 1)))
+
+
 def count_tables(
     s: int, n: int, m_max: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> list:
@@ -141,26 +159,22 @@ def count_tables(
 
     m = 0 is the empty board with its single empty tiling.
     """
-    if m_max < 0:
-        raise ValueError("board length must be >= 0")
-    tables = []
-    for m, poly in enumerate(_flat_entry_sweep(s, n, m_max, state_cap)):
-        top = max(poly)
-        if top > (n * m) // (s * s):
-            raise RuntimeError(
-                f"{n} x {m} board: {top} squares of side {s} exceed the area bound"
-            )
-        # poly holds only positive counts, so this ends on a nonzero entry
-        counts = tuple(poly.get(k, 0) for k in range(top + 1))
-        tables.append(CountTable(s, n, m, counts))
-    return tables
+    return [
+        _table(s, n, m, poly)
+        for m, poly in enumerate(_flat_entry_sweep(s, n, m_max, state_cap))
+    ]
 
 
 def count_table(
     s: int, n: int, m: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> CountTable:
-    """Exact counts for the n x m board, all square counts k at once."""
-    return count_tables(s, n, m, state_cap)[m]
+    """Exact counts for the n x m board, all square counts k at once.
+
+    The sweep passes every shorter board; only the last entry is unpacked.
+    """
+    for x, width in _packed_sweep(s, n, m, state_cap):
+        pass
+    return _table(s, n, m, _unpack(x, width))
 
 
 def square_table(

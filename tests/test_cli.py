@@ -119,9 +119,10 @@ def test_gf_row_sums_line(capsys):
 
 
 def test_gf_dimension_cap_exit_code(capsys):
-    code, _, err = run(capsys, "gf", "--s", "2", "--n", "10", "--gf-cap", "50")
+    # the cap applies to the lumped system: 34 states from 51 mirror fronts
+    code, _, err = run(capsys, "gf", "--s", "2", "--n", "10", "--gf-cap", "33")
     assert code == 2
-    assert "dimension 51" in err
+    assert "dimension 34" in err
 
 
 def test_state_cap_exit_code(capsys):
@@ -217,6 +218,19 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every CLI
+    # process would pay for at start-up
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, sqtilings.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_version_flag(capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import groupby, product
 from math import comb
 
@@ -32,14 +33,18 @@ def test_states_width_two():
 
 def test_states_width_four_discovery_order():
     g = enumerate_states(2, 4)
-    # (1, 1, 0, 0) is lumped into its mirror image (0, 0, 1, 1)
+    # (1, 1, 0, 0) is lumped into its mirror image (0, 0, 1, 1), and
+    # (1, 1, 1, 1) into (0, 1, 1, 0): both advance only to the flat front
     assert g.states == (
         (0, 0, 0, 0),
         (0, 0, 1, 1),
         (0, 1, 1, 0),
-        (1, 1, 1, 1),
     )
-    assert g.edges[0] == ((0, 0, 1), (1, 1, 2), (2, 1, 1), (3, 2, 1))
+    assert g.edges == (
+        ((0, 0, 1), (1, 1, 2), (2, 1, 1), (2, 2, 1)),
+        ((0, 0, 1), (1, 1, 1)),
+        ((0, 0, 1),),
+    )
 
 
 def test_single_column_square_collapses_to_binomials():
@@ -65,9 +70,26 @@ def _even_run_vectors(n):
     return len(vectors)
 
 
+def _mirror_fronts(s, n):
+    """Fronts reachable from the flat front, counted up to reversal."""
+    start = (0,) * n
+    seen = {start}
+    todo = [start]
+    while todo:
+        for nxt, _ in transitions(todo.pop(), s):
+            nxt = min(nxt, nxt[::-1])
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return len(seen)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_width_two_state_count_is_even_run_count(n):
-    assert enumerate_states(2, n).dim == _even_run_vectors(n)
+    fronts = _mirror_fronts(2, n)
+    assert fronts == _even_run_vectors(n)
+    # the lumped graph has a block of one or more of those fronts per state
+    assert enumerate_states(2, n).dim <= fronts
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=9))
@@ -80,17 +102,49 @@ def test_graph_invariants(s, n):
         for dst, k, mult in lst:
             assert 0 <= dst < g.dim
             assert 0 <= k <= n // s
-            # distinct placements land on distinct fronts; at most two of
-            # them, mirror images of each other, share a canonical front
-            assert mult in (1, 2)
+            # a block can hold many fronts, so any number of placements
+            # can land in one
+            assert mult >= 1
             seen_dsts.add(dst)
-        # every placement set is counted exactly once
+        # every placement set from the block's representative is counted once
         assert sum(mult for _, _, mult in lst) == len(transitions(g.states[src], s))
     assert seen_dsts == set(range(g.dim))  # discovery order leaves no orphans
     for h in g.states:
         assert len(h) == n
         assert all(0 <= x < s for x in h)
         assert h <= h[::-1]  # the canonical front of its mirror pair
+
+
+def _block_count(edges):
+    """Blocks of the coarsest exact lumping of ``edges``, state 0 alone."""
+    block = [min(i, 1) for i in range(len(edges))]
+    while True:
+        sigs = []
+        for i, out in enumerate(edges):
+            into = Counter()
+            for dst, k, mult in out:
+                into[block[dst], k] += mult
+            sigs.append((block[i], frozenset(into.items())))
+        ids = {sig: j for j, sig in enumerate(dict.fromkeys(sigs))}
+        refined = [ids[sig] for sig in sigs]
+        if len(ids) == len(set(block)):
+            return len(ids)
+        block = refined
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_lumping_is_coarsest(s):
+    # refining the quotient again merges no two of its states
+    for n in range(1, 11):
+        g = enumerate_states(s, n)
+        assert _block_count(g.edges) == g.dim, (s, n)
+
+
+@pytest.mark.parametrize("s, n, dim", [(4, 12, 58), (6, 14, 51)])
+def test_quotient_dimension(s, n, dim):
+    # 106 fronts up to mirroring in both cases
+    assert _mirror_fronts(s, n) == 106
+    assert enumerate_states(s, n).dim == dim
 
 
 def test_heights_decay_by_one_per_row():

@@ -60,9 +60,9 @@ def test_series_requires_unit_denominator_head():
 
 def test_dimension_cap():
     with pytest.raises(DimensionCapExceeded) as err:
-        generating_function(enumerate_states(2, 4).edges, dim_cap=3)
-    assert err.value.dim == 4
-    assert err.value.cap == 3
+        generating_function(enumerate_states(2, 4).edges, dim_cap=2)
+    assert err.value.dim == 3
+    assert err.value.cap == 2
 
 
 def test_row_sum_specialization_matches_sequences(gf_of):
