@@ -28,7 +28,7 @@ def main() -> int:
     report = check_conjectures(
         near_square_s=tuple(range(2, args.s_max + 1)),
         offset_square_s=tuple(range(3, args.s_max + 1)),
-        oracle_cell_cap=args.oracle_cap or None,
+        oracle_cell_cap=args.oracle_cap,
     )
     elapsed = time.perf_counter() - t0
     print(report.render_text())

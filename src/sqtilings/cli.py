@@ -80,7 +80,7 @@ def cmd_verify(args, out) -> int:
         n_max=args.n_max,
         m_max=args.m_max,
         state_cap=args.state_cap,
-        oracle_cell_cap=args.oracle_cap if args.oracle_cap > 0 else None,
+        oracle_cell_cap=args.oracle_cap,
     )
     ok = all(r.passed for r in reports)
     if args.format == "json":

@@ -15,11 +15,14 @@ surviving equation as a numerator/denominator pair.
 
 Two implementation notes.  Pivots are free (full pivoting) and chosen to
 keep the active submatrix sparse: fewest-term entry first, then least
-Markowitz fill, with index tie-breaks for determinism.  And rows that a
-pivot step does not touch are left at their older scale instead of being
-rescaled immediately; the cumulative scale factor telescopes to a single
-multiply-and-exact-divide when the row is next used.  Values agree with
-textbook Bareiss at every step, only the bookkeeping is batched.
+Markowitz fill, with index tie-breaks for determinism; the column counts
+behind the fill are recounted from the live rows at each pivot step.  And
+rows that a pivot step does not touch are left at their older scale
+instead of being rescaled immediately; the cumulative scale factor
+telescopes to a single multiply-and-exact-divide when the row is next
+used.  Pivots are kept as computed, with the constant 1 as the zeroth, so
+every step divides the same way.  Values agree with textbook Bareiss at
+every step, only the bookkeeping is batched.
 
 ``emit_cas_script`` writes the same edges as a Maple-style linear system;
 ``parse_cas_script`` reads such a script back into edges, so the text form
@@ -60,13 +63,6 @@ class EliminationError(RuntimeError):
     """The linear system degenerated; impossible for well-formed transfer graphs."""
 
 
-def _is_unit(p: dict) -> bool:
-    return len(p) == 1 and p.get(0) == 1
-
-
-_ONE = {0: 1}
-
-
 def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
     """Head component of (I - M)^-1 e0 by fraction-free elimination.
 
@@ -88,12 +84,7 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
             terms[key] = terms.get(key, 0) - mult
     rows[0][rhs] = {0: 1}
 
-    colindex: dict = {}
-    for i, row in rows.items():
-        for c in row:
-            colindex.setdefault(c, set()).add(i)
-
-    pivots = [_ONE]
+    pivots = [{0: 1}]
     gens = {i: 0 for i in range(dim)}
 
     def catch_up(i: int, target: int) -> None:
@@ -102,71 +93,48 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
         g = gens[i]
         if g == target:
             return
-        mul_p = pivots[target]
-        div_p = pivots[g]
         row = rows[i]
         for j, val in row.items():
-            if mul_p is not _ONE:
-                val = _mul_terms(val, mul_p)
-            if div_p is not _ONE:
-                val = _exact_div_terms(val, div_p)
-            row[j] = val
+            row[j] = _exact_div_terms(_mul_terms(val, pivots[target]), pivots[g])
         gens[i] = target
 
     for step in range(1, dim):
         prev = pivots[step - 1]
-        best = None
-        for c, rowset in colindex.items():
-            if c == 0 or c == rhs or not rowset:
-                continue
-            cfill = len(rowset) - 1
-            for i in rowset:
-                key = (len(rows[i][c]), (len(rows[i]) - 1) * cfill, i, c)
-                if best is None or key < best[0]:
-                    best = (key, i, c)
+        count: dict = {}
+        for row in rows.values():
+            for c in row:
+                count[c] = count.get(c, 0) + 1
+        best = min(
+            (
+                (len(entry), (len(row) - 1) * (count[c] - 1), i, c)
+                for i, row in rows.items()
+                for c, entry in row.items()
+                if c != 0 and c != rhs
+            ),
+            default=None,
+        )
         if best is None:
             raise EliminationError("no pivot available, system is singular")
-        _, r, c = best
+        r, c = best[2:]
 
         catch_up(r, step - 1)
-        prow = rows[r]
+        prow = rows.pop(r)
         piv = prow[c]
-        for i in list(colindex[c]):
-            if i == r:
+        for i, arow in rows.items():
+            if c not in arow:
                 continue
             catch_up(i, step - 1)
-            arow = rows[i]
             vic = arow.pop(c)
-            colindex[c].discard(i)
             newrow: dict = {}
             for j in arow.keys() | prow.keys():
                 if j == c:
                     continue
-                vrj = prow.get(j)
-                cur = arow.get(j)
-                if vrj is None:
-                    num = _mul_terms(cur, piv)
-                elif cur is None:
-                    num = {k: -v for k, v in _mul_terms(vic, vrj).items()}
-                else:
-                    num = _cross_terms(piv, cur, vic, vrj)
+                num = _cross_terms(piv, arow.get(j, {}), vic, prow.get(j, {}))
                 if num:
-                    newrow[j] = (
-                        num if prev is _ONE else _exact_div_terms(num, prev)
-                    )
-            for j in arow:
-                if j not in newrow:
-                    colindex[j].discard(i)
-            for j in newrow:
-                if j not in arow:
-                    colindex.setdefault(j, set()).add(i)
+                    newrow[j] = _exact_div_terms(num, prev)
             rows[i] = newrow
             gens[i] = step
-
-        for j in prow:
-            colindex[j].discard(r)
-        del rows[r]
-        pivots.append(_ONE if _is_unit(piv) else piv)
+        pivots.append(piv)
 
     (last,) = rows
     # bring the survivor to the final generation so the denominator is the

@@ -117,7 +117,7 @@ def check_basic(
     n_max: int = 10,
     m_max: int = 10,
     tables=count_tables,
-    oracle_cell_cap: int | None = None,
+    oracle_cell_cap: int = 0,
 ) -> IdentityReport:
     """Coefficient identities that hold for every board.
 
@@ -125,8 +125,8 @@ def check_basic(
     too small for any square have the single all-monomer tiling; boards
     with both sides multiples of s have exactly one maximal packing;
     counts are invariant under swapping n and m.  When ``oracle_cell_cap``
-    is set, boards with at most that many cells are also recounted by the
-    exhaustive oracle.
+    is positive (0 turns the oracle off), boards with at most that many
+    cells are also recounted by the exhaustive oracle.
     """
     report = IdentityReport("basic count identities")
     for s in range(1, s_max + 1):
@@ -292,7 +292,7 @@ def check_conjectures(
     near_square_s=(2, 3, 4),
     offset_square_s=(3, 4),
     tables=count_tables,
-    oracle_cell_cap: int | None = None,
+    oracle_cell_cap: int = 0,
 ) -> IdentityReport:
     """Conjectured count vectors for boards one or two columns past 2s x 2s.
 
@@ -331,7 +331,7 @@ def run_verification(
     n_max: int = 10,
     m_max: int = 10,
     state_cap: int = DEFAULT_STATE_CAP,
-    oracle_cell_cap: int | None = None,
+    oracle_cell_cap: int = 0,
 ) -> list:
     """Every identity report in one list, for the CLI and the test suite.
 

@@ -86,23 +86,33 @@ def test_acceptance_3_row_sum_forms(gf_of, load_gf_fixture):
     )
 
 
+# the one criterion-4 system whose elimination takes seconds (dimension 49);
+# it is checked in the stretch tier instead
+SERIES_STRETCH_CASE = (2, 11)
+
+
+def _series_mismatches(s, n, edges):
+    rows = series_expand(generating_function(edges), 12)
+    return [
+        m for m in range(13) if tuple(rows[m].as_list()) != count_table(s, n, m).counts
+    ]
+
+
 def test_acceptance_4_series_equal_tables():
     failures = []
     systems = 0
     for s in range(1, 7):
         for n in range(1, 13):
             graph = enumerate_states(s, n)
-            if graph.dim > 60:
+            if graph.dim > 60 or (s, n) == SERIES_STRETCH_CASE:
                 continue
-            rows = series_expand(generating_function(graph.edges), 12)
-            for m in range(13):
-                if tuple(rows[m].as_list()) != count_table(s, n, m).counts:
-                    failures.append((s, n, m))
+            failures += [(s, n, m) for m in _series_mismatches(s, n, graph.edges)]
             systems += 1
     _verdict(
         f"criterion 4: series expansion equals count tables for m <= 12 on "
-        f"{systems} systems (s <= 6, n <= 12, dimension <= 60); "
-        f"failures: {failures or 'none'}",
+        f"{systems} systems (s <= 6, n <= 12, dimension <= 60, "
+        f"s{SERIES_STRETCH_CASE[0]}n{SERIES_STRETCH_CASE[1]} in the stretch "
+        f"tier); failures: {failures or 'none'}",
         not failures,
     )
 
@@ -192,3 +202,9 @@ def test_stretch_closed_form(s, n, gf_of, load_gf_fixture):
 @pytest.mark.parametrize("s,n", STRETCH_T1)
 def test_stretch_row_sum_form(s, n, gf_of, load_gf_fixture):
     assert gf_of(s, n).substitute_t(1).equivalent(load_gf_fixture(f"s{s}_n{n}_t1"))
+
+
+@pytest.mark.stretch
+def test_stretch_series_equal_tables():
+    s, n = SERIES_STRETCH_CASE
+    assert _series_mismatches(s, n, enumerate_states(s, n).edges) == []

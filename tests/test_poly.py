@@ -81,6 +81,9 @@ def test_ring_laws(a, b, c):
     assert mul(a, {0: 1}) == a
     assert add(a, _neg_terms(a)) == {}
     assert _neg_terms(_neg_terms(a)) == a
+    # the elimination update passes {} for an entry missing from a row
+    assert _cross_terms(a, {}, b, c) == _neg_terms(mul(b, c))
+    assert _cross_terms(a, b, c, {}) == mul(a, b)
 
 
 @given(bipolys, nonzero_bipolys)
@@ -95,6 +98,11 @@ def test_inexact_division_raises():
         _exact_div_terms(num.terms, den.terms)
     with pytest.raises(ZeroDivisionError):
         _exact_div_terms(num.terms, {})
+    # one-term divisors: the coefficient must divide and no exponent may
+    # go negative, since a borrow would alias t into z
+    for num, den in [("3", "2"), ("t", "z"), ("z", "t")]:
+        with pytest.raises(ValueError):
+            _exact_div_terms(BiPoly.parse(num).terms, BiPoly.parse(den).terms)
 
 
 def test_substitute_t():
