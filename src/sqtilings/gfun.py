@@ -17,12 +17,12 @@ Two implementation notes.  Pivots are free (full pivoting) and chosen to
 keep the active submatrix sparse: fewest-term entry first, then least
 Markowitz fill, with index tie-breaks for determinism; the column counts
 behind the fill are recounted from the live rows at each pivot step.  And
-rows that a pivot step does not touch are left at their older scale
-instead of being rescaled immediately; the cumulative scale factor
-telescopes to a single multiply-and-exact-divide when the row is next
-used.  Pivots are kept as computed, with the constant 1 as the zeroth, so
-every step divides the same way.  Values agree with textbook Bareiss at
-every step, only the bookkeeping is batched.
+rows that a pivot step does not touch keep their older scale: a row last
+updated at generation g holds its textbook Bareiss value times pivots[g]
+over the previous pivot, so its next update divides exactly by pivots[g].
+Only the pivot row and the final survivor are rescaled, by one
+multiply-and-exact-divide.  Pivots are kept as computed, with the
+constant 1 as the zeroth.
 
 ``emit_cas_script`` writes the same edges as a Maple-style linear system;
 ``parse_cas_script`` reads such a script back into edges, so the text form
@@ -39,7 +39,6 @@ from .poly import (
     RatFun,
     _cross_terms,
     _exact_div_terms,
-    _mul_terms,
     _pack,
     _parse_terms,
     _render_terms,
@@ -94,12 +93,12 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
         if g == target:
             return
         row = rows[i]
+        scale, div = pivots[target], pivots[g]
         for j, val in row.items():
-            row[j] = _exact_div_terms(_mul_terms(val, pivots[target]), pivots[g])
+            row[j] = _exact_div_terms(_cross_terms(val, scale, {}, {}), div)
         gens[i] = target
 
     for step in range(1, dim):
-        prev = pivots[step - 1]
         count: dict = {}
         for row in rows.values():
             for c in row:
@@ -123,7 +122,9 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
         for i, arow in rows.items():
             if c not in arow:
                 continue
-            catch_up(i, step - 1)
+            # a row last updated at generation g carries the scale
+            # pivots[g]/pivots[step - 1], which dividing by pivots[g] cancels
+            div = pivots[gens[i]]
             vic = arow.pop(c)
             newrow: dict = {}
             for j in arow.keys() | prow.keys():
@@ -131,7 +132,7 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
                     continue
                 num = _cross_terms(piv, arow.get(j, {}), vic, prow.get(j, {}))
                 if num:
-                    newrow[j] = _exact_div_terms(num, prev)
+                    newrow[j] = _exact_div_terms(num, div)
             rows[i] = newrow
             gens[i] = step
         pivots.append(piv)

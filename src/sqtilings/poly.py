@@ -38,33 +38,9 @@ def _pack(z_exp: int, t_exp: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# raw term-map helpers; a term map is dict[packed_key, nonzero int]
-
-
-def _neg_terms(a: dict) -> dict:
-    return {k: -c for k, c in a.items()}
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
-    if len(b) == 1:
-        ((kb, cb),) = b.items()
-        return {ka + kb: ca * cb for ka, ca in a.items()}
-    if len(a) == 1:
-        ((ka, ca),) = a.items()
-        return {ka + kb: ca * cb for kb, cb in b.items()}
-    out: dict = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            v = get(k, 0) + ca * cb
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
+# raw term-map helpers; a term map is dict[packed_key, nonzero int].
+# _cross_terms and _exact_div_terms are the only product helpers; a plain
+# product a*b is _cross_terms(a, b, {}, {}).
 
 
 def _cross_terms(p: dict, x: dict, a: dict, b: dict) -> dict:
@@ -325,8 +301,8 @@ class RatFun:
         if c0 == 0:
             raise ValueError("denominator constant term is zero")
         if c0 < 0:
-            nt = _neg_terms(nt)
-            dt = _neg_terms(dt)
+            nt = {k: -c for k, c in nt.items()}
+            dt = {k: -c for k, c in dt.items()}
         self.num = BiPoly(nt)
         self.den = BiPoly(dt)
 
@@ -356,8 +332,8 @@ class RatFun:
 
     def equivalent(self, other: "RatFun") -> bool:
         """Equality as rational functions, decided by cross-multiplication."""
-        return _mul_terms(self.num.terms, other.den.terms) == _mul_terms(
-            other.num.terms, self.den.terms
+        return not _cross_terms(
+            self.num.terms, other.den.terms, other.num.terms, self.den.terms
         )
 
     def __eq__(self, other):

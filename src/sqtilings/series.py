@@ -15,8 +15,10 @@ the k-th slot of B bits (Kronecker substitution), so an edge of weight
 mult * t^k costs one shift-and-add: ``nxt[dst] += (x << k*B) * mult``.
 Every count is positive, so no coefficient, nor any partial sum of one,
 exceeds its polynomial's value at t = 1; a plain integer sweep at t = 1
-over the same edges therefore bounds every slot.  Ahead of each block of
-``_BLOCK`` steps it sets B to that bound in whole bytes, and the packed
+over the same edges therefore bounds every slot.  Both run ``_step``: at
+t = 1 with slot 0 and each source's edges merged into one k = 0 group,
+packed with slot B and the edges grouped by k.  Ahead of each block of
+``_BLOCK`` steps B is set to the t = 1 bound in whole bytes, and the packed
 ints are repacked when B grows, so early steps do not carry the width
 of the last.  The sweep hands back the packed flat-front entry of every
 step: :func:`count_tables` unpacks each one, :func:`count_table` only
@@ -51,6 +53,19 @@ class CountTable(namedtuple("CountTable", "s n m counts")):
 _BLOCK = 16
 
 
+def _step(vec, groups, slot):
+    """One transfer step of the packed vector over edges grouped by k."""
+    nxt = [0] * len(vec)
+    for src, x in enumerate(vec):
+        if not x:
+            continue
+        for k, targets in groups[src]:
+            y = x << (k * slot)
+            for dst, mult in targets:
+                nxt[dst] += y if mult == 1 else y * mult
+    return nxt
+
+
 def _packed_sweep(s, n, m_max, state_cap):
     """Yield the flat-front entry for m = 0 .. m_max as (packed int, slot bytes).
 
@@ -59,9 +74,8 @@ def _packed_sweep(s, n, m_max, state_cap):
     if m_max < 0:
         raise ValueError("board length must be >= 0")
     graph = enumerate_states(s, n, state_cap)
-    dim = graph.dim
     # packed edges grouped by k, so each source is shifted once per k;
-    # t = 1 edges merged per destination
+    # t = 1 edges merged per destination into one k = 0 group
     by_k = []
     at_one = []
     for edges in graph.edges:
@@ -71,8 +85,8 @@ def _packed_sweep(s, n, m_max, state_cap):
             groups.setdefault(k, []).append((dst, mult))
             merged[dst] = merged.get(dst, 0) + mult
         by_k.append(tuple(groups.items()))
-        at_one.append(tuple(merged.items()))
-    ones = [1] + [0] * (dim - 1)  # each state's polynomial at t = 1
+        at_one.append(((0, tuple(merged.items())),))
+    ones = [1] + [0] * (graph.dim - 1)  # each state's polynomial at t = 1
     vec = list(ones)  # each state's polynomial, packed
     width = 1  # bytes per slot
     yield 1, width
@@ -81,29 +95,14 @@ def _packed_sweep(s, n, m_max, state_cap):
         # the t = 1 values over the block bound every slot it fills
         bits = 0
         for _ in range(steps):
-            nxt = [0] * dim
-            for src, x in enumerate(ones):
-                if not x:
-                    continue
-                for dst, mult in at_one[src]:
-                    nxt[dst] += x * mult
-            ones = nxt
+            ones = _step(ones, at_one, 0)
             bits = max(bits, max(ones).bit_length())
         if bits > 8 * width:
             wider = -(-bits // 8)
             vec = [_widen(x, width, wider) for x in vec]
             width = wider
-        slot = 8 * width
         for _ in range(steps):
-            nxt = [0] * dim
-            for src, x in enumerate(vec):
-                if not x:
-                    continue
-                for k, targets in by_k[src]:
-                    y = x << (k * slot)
-                    for dst, mult in targets:
-                        nxt[dst] += y if mult == 1 else y * mult
-            vec = nxt
+            vec = _step(vec, by_k, 8 * width)
             yield vec[0], width
 
 
@@ -170,9 +169,13 @@ def count_table(
 ) -> CountTable:
     """Exact counts for the n x m board, all square counts k at once.
 
-    The sweep passes every shorter board; only the last entry is unpacked.
+    n x m and m x n tilings coincide, so a board with 0 < m < n is swept
+    along its shorter side, on the width-m graph for n rows; the table
+    keeps the given orientation.  The sweep passes every shorter board;
+    only the last entry is unpacked.
     """
-    for x, width in _packed_sweep(s, n, m, state_cap):
+    across, along = (m, n) if 0 < m < n else (n, m)
+    for x, width in _packed_sweep(s, across, along, state_cap):
         pass
     return _table(s, n, m, _unpack(x, width))
 

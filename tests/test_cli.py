@@ -126,7 +126,7 @@ def test_gf_dimension_cap_exit_code(capsys):
 
 
 def test_state_cap_exit_code(capsys):
-    code, _, err = run(capsys, "table", "--s", "2", "--n", "16", "--m", "3",
+    code, _, err = run(capsys, "table", "--s", "2", "--n", "16", "--m", "16",
                        "--state-cap", "100")
     assert code == 2
     assert "cap is 100" in err

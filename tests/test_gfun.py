@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sqtilings.engine import enumerate_states
@@ -8,7 +10,7 @@ from sqtilings.gfun import (
     parse_cas_script,
     series_expand,
 )
-from sqtilings.poly import RatFun
+from sqtilings.poly import _SHIFT, _TMASK, RatFun
 from sqtilings.series import count_table
 
 
@@ -27,6 +29,53 @@ from sqtilings.series import count_table
 def test_narrow_boards_have_exact_closed_forms(s, n, expected):
     ratio = generating_function(enumerate_states(s, n).edges)
     assert ratio.render() == expected
+
+
+def _at(poly, z, t):
+    """A BiPoly's value at the point (z, t)."""
+    return sum(
+        c * z ** (key >> _SHIFT) * t ** (key & _TMASK) for key, c in poly.terms.items()
+    )
+
+
+def _det(a):
+    """Determinant of a square Fraction matrix by Gaussian elimination."""
+    a = [list(row) for row in a]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            for j in range(c, len(a)):
+                a[r][j] -= f * a[c][j]
+    return det
+
+
+@pytest.mark.parametrize("s,n", [(1, 3), (2, 5), (2, 7), (3, 7), (4, 9), (3, 9)])
+def test_gf_is_cofactor_over_determinant(gf_of, s, n):
+    # Cramer's rule for (I - M) x = e0: x0 = det(I - M without row and
+    # column 0) / det(I - M), exactly, with no common factor cancelled
+    edges = enumerate_states(s, n).edges
+    ratio = gf_of(s, n)
+    dim = len(edges)
+    points = [
+        (Fraction(1, 3), Fraction(2, 5)),
+        (Fraction(-2, 7), Fraction(3)),
+        (Fraction(5, 4), Fraction(-1, 6)),
+    ]
+    for z, t in points:
+        a = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        for src, lst in enumerate(edges):
+            for dst, k, mult in lst:
+                a[dst][src] -= mult * z * t**k
+        assert _at(ratio.den, z, t) == _det(a)
+        assert _at(ratio.num, z, t) == _det([row[1:] for row in a[1:]])
 
 
 def test_denominator_normalized_to_unit_constant(gf_of):

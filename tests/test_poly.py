@@ -9,8 +9,6 @@ from sqtilings.poly import (
     RatFun,
     _cross_terms,
     _exact_div_terms,
-    _mul_terms,
-    _neg_terms,
     _pack,
 )
 
@@ -66,11 +64,16 @@ def test_render_parse_round_trip(p):
 
 @given(bipolys, bipolys, bipolys)
 def test_ring_laws(a, b, c):
-    # addition through the elimination kernel: a*1 - b*(-1)
+    # every ring operation through the elimination kernel p*x - a*b
     def add(a, b):
         return _cross_terms(a, {0: 1}, b, {0: -1})
 
-    mul = _mul_terms
+    def mul(a, b):
+        return _cross_terms(a, b, {}, {})
+
+    def neg(a):
+        return _cross_terms({}, {}, a, {0: 1})
+
     a, b, c = a.terms, b.terms, c.terms
     assert add(a, b) == add(b, a)
     assert mul(a, b) == mul(b, a)
@@ -79,16 +82,18 @@ def test_ring_laws(a, b, c):
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     assert add(a, {}) == a
     assert mul(a, {0: 1}) == a
-    assert add(a, _neg_terms(a)) == {}
-    assert _neg_terms(_neg_terms(a)) == a
+    assert mul(a, {}) == mul({}, a) == {}
+    assert add(a, neg(a)) == {}
+    assert neg(neg(a)) == a
+    assert neg(a) == {k: -v for k, v in a.items()}
     # the elimination update passes {} for an entry missing from a row
-    assert _cross_terms(a, {}, b, c) == _neg_terms(mul(b, c))
+    assert _cross_terms(a, {}, b, c) == neg(mul(b, c))
     assert _cross_terms(a, b, c, {}) == mul(a, b)
 
 
 @given(bipolys, nonzero_bipolys)
 def test_exact_division_inverts_multiplication(a, b):
-    assert _exact_div_terms(_mul_terms(a.terms, b.terms), b.terms) == a.terms
+    assert _exact_div_terms(_cross_terms(a.terms, b.terms, {}, {}), b.terms) == a.terms
 
 
 def test_inexact_division_raises():

@@ -46,6 +46,22 @@ def test_empty_and_tiny_boards():
         count_table(2, 3, -1)
 
 
+def test_single_board_swept_along_shorter_side():
+    # a 24 x 1 board runs on the 1-state width-1 graph, far under the cap
+    table = count_table(2, 24, 1, state_cap=10)
+    assert table.counts == (1,)
+    assert (table.n, table.m) == (24, 1)
+
+
+def test_single_board_matches_tables():
+    # boards with m < n run on the width-m graph, the tables on width n
+    for s in range(1, 5):
+        for n in range(1, 9):
+            tables = count_tables(s, n, 8)
+            for m in range(1, 9):
+                assert count_table(s, n, m) == tables[m], (s, n, m)
+
+
 def test_counts_trimmed_to_max_achieved():
     # 3 x 3 with a 2 x 2 square: a second square never fits even though
     # the area bound allows k = 2
