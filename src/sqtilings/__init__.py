@@ -38,7 +38,12 @@ from .identities import (
     check_two_s_square,
     run_verification,
 )
-from .oracle import DEFAULT_CELL_CAP, BoardTooLarge, brute_force_counts
+from .oracle import (
+    DEFAULT_CELL_CAP,
+    BoardTooLarge,
+    brute_force_counts,
+    brute_force_tables,
+)
 from .poly import BiPoly, PolyT, RatFun
 from .series import (
     CountTable,
@@ -68,6 +73,7 @@ __all__ = [
     "StateCapExceeded",
     "TransferGraph",
     "brute_force_counts",
+    "brute_force_tables",
     "check_basic",
     "check_conjectures",
     "check_single_lane",

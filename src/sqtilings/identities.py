@@ -29,7 +29,7 @@ from collections import namedtuple
 from math import comb
 
 from .engine import DEFAULT_STATE_CAP
-from .oracle import brute_force_counts
+from .oracle import brute_force_counts, brute_force_tables
 from .series import CountTable, count_tables
 
 
@@ -125,8 +125,9 @@ def check_basic(
     too small for any square have the single all-monomer tiling; boards
     with both sides multiples of s have exactly one maximal packing;
     counts are invariant under swapping n and m.  When ``oracle_cell_cap``
-    is positive (0 turns the oracle off), boards with at most that many
-    cells are also recounted by the exhaustive oracle.
+    is positive (0 turns the oracle off), the boards n x m with n <= m and
+    at most that many cells are also recounted by the exhaustive oracle:
+    one :func:`brute_force_tables` pass per (s, n) gives every length.
     """
     report = IdentityReport("basic count identities")
     for s in range(1, s_max + 1):
@@ -178,13 +179,15 @@ def check_basic(
                 )
         if oracle_cell_cap:
             for n in range(1, n_max + 1):
-                for m in range(n, m_max + 1):
-                    if n * m > oracle_cell_cap:
-                        continue
+                last = min(m_max, oracle_cell_cap // n)
+                if last < n:
+                    continue
+                brute = brute_force_tables(s, n, last, oracle_cell_cap)
+                for m in range(n, last + 1):
                     report.add(
                         "oracle_agreement",
                         {"s": s, "n": n, "m": m},
-                        brute_force_counts(s, n, m, oracle_cell_cap).counts,
+                        brute[m].counts,
                         by_n[n][m].counts,
                     )
     return report

@@ -1,8 +1,7 @@
 """Independent ground truth: cell-by-cell exact-cover counting on a bitboard.
 
 This deliberately shares nothing with the lane-based transfer machinery.
-Counts do not change under rotation, so the board is scanned in row-major
-order with its rows along the shorter side, in one forward pass over the
+The board is scanned in row-major order, in one forward pass over the
 cells.  The state at cell p is the occupancy bitmask of cells p, p+1, ...
 left by the squares placed so far.  An empty cell p is covered either by a
 monomer or by an s x s square anchored there, which generates every tiling
@@ -11,6 +10,14 @@ are merged, so the count stays exact while boards near the cell cap remain
 tractable.  Each state carries its polynomial in t packed into one int,
 with slot width cells + 1: a tiling is fixed by its set of square anchors,
 a subset of the cells, so every coefficient is at most 2^cells and fits.
+
+A row boundary where no square sticks out past the line is exactly the
+board of the rows above it, so the all-empty state (mask 0) there holds
+that board's polynomial.  One pass over M rows therefore reads every
+length 0 .. M at its row boundaries: :func:`brute_force_tables` keeps
+them all, and :func:`brute_force_counts` keeps the last of a pass whose
+rows run along the board's shorter side (counts do not change under
+rotation).
 """
 
 from __future__ import annotations
@@ -29,21 +36,16 @@ class BoardTooLarge(ValueError):
         super().__init__(f"board has {cells} cells, oracle cap is {cap}")
 
 
-def brute_force_counts(
-    s: int, n: int, m: int, cell_cap: int = DEFAULT_CELL_CAP
-) -> CountTable:
-    """Exact counts for the n x m board by direct enumeration."""
-    if s < 1 or n < 1 or m < 0:
-        raise ValueError("square size and board sides must be positive")
-    cells = n * m
-    if cells > cell_cap:
-        raise BoardTooLarge(cells, cell_cap)
+def _row_ends(s: int, rows: int, cols: int):
+    """Yield the r x cols board's packed polynomial for r = 0 .. rows.
 
-    rows, cols = max(n, m), min(n, m)
-    width = cells + 1
+    Slots are rows * cols + 1 bits wide at every r.
+    """
+    width = rows * cols + 1
     # footprint of a square anchored at the current cell, bit 0 = that cell
     foot = sum(1 << (r * cols + c) for r in range(s) for c in range(s))
     states = {0: 1}  # occupancy of cells p, p+1, ... -> packed t-polynomial
+    yield 1
     for r in range(rows):
         fits_row = r + s <= rows
         for c in range(cols):
@@ -57,15 +59,48 @@ def brute_force_counts(
                     key = (mask | foot) >> 1
                     nxt[key] = nxt.get(key, 0) + (poly << width)
             states = nxt
+        yield states[0]
 
-    (packed,) = states.values()
+
+def _table(s: int, n: int, m: int, packed: int, width: int) -> CountTable:
     counts = []  # the top slot is nonzero, so no trailing zeros to trim
     while packed:
         counts.append(packed & ((1 << width) - 1))
         packed >>= width
-    if len(counts) > cells // (s * s) + 1:
+    if len(counts) > n * m // (s * s) + 1:
         raise RuntimeError(
             f"{n} x {m} board: {len(counts) - 1} squares of side {s} "
             "exceed the area bound"
         )
     return CountTable(s, n, m, tuple(counts))
+
+
+def _check(s: int, n: int, m: int, cell_cap: int) -> None:
+    if s < 1 or n < 1 or m < 0:
+        raise ValueError("square size and board sides must be positive")
+    if n * m > cell_cap:
+        raise BoardTooLarge(n * m, cell_cap)
+
+
+def brute_force_tables(
+    s: int, n: int, m_max: int, cell_cap: int = DEFAULT_CELL_CAP
+) -> list:
+    """Exact counts for the n x m boards, m = 0 .. m_max, from one pass.
+
+    The cap is charged on the n x m_max board, the longest of the pass.
+    """
+    _check(s, n, m_max, cell_cap)
+    return [
+        _table(s, n, m, packed, n * m_max + 1)
+        for m, packed in enumerate(_row_ends(s, m_max, n))
+    ]
+
+
+def brute_force_counts(
+    s: int, n: int, m: int, cell_cap: int = DEFAULT_CELL_CAP
+) -> CountTable:
+    """Exact counts for the n x m board by direct enumeration."""
+    _check(s, n, m, cell_cap)
+    for packed in _row_ends(s, max(n, m), min(n, m)):
+        pass
+    return _table(s, n, m, packed, n * m + 1)

@@ -1,6 +1,6 @@
 import json
 
-from sqtilings import series
+from sqtilings import identities, series
 from sqtilings.identities import (
     CheckResult,
     IdentityReport,
@@ -27,6 +27,32 @@ def test_basic_identities_pass():
         "rotation_symmetry",
         "oracle_agreement",
     }
+
+
+def test_basic_reads_oracle_once_per_width(monkeypatch):
+    calls = []
+    tables = identities.brute_force_tables
+
+    def counting_tables(s, n, m_max, cell_cap):
+        calls.append((s, n))
+        return tables(s, n, m_max, cell_cap)
+
+    monkeypatch.setattr(identities, "brute_force_tables", counting_tables)
+    report = check_basic(s_max=3, n_max=6, m_max=6, oracle_cell_cap=30)
+    boards = {
+        (c.params["s"], c.params["n"], c.params["m"])
+        for c in report.checks
+        if c.identity == "oracle_agreement"
+    }
+    assert boards == {
+        (s, n, m)
+        for s in range(1, 4)
+        for n in range(1, 7)
+        for m in range(n, 7)
+        if n * m <= 30
+    }
+    assert sorted(calls) == sorted({(s, n) for s, n, _ in boards})
+    assert len(calls) == len(set(calls))
 
 
 def test_single_lane_report():

@@ -1,9 +1,12 @@
+import ast
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from sqtilings.oracle import BoardTooLarge, brute_force_counts
+from sqtilings import oracle
+from sqtilings.oracle import BoardTooLarge, brute_force_counts, brute_force_tables
 from sqtilings.series import CountTable, count_tables
 
 
@@ -59,3 +62,47 @@ def test_agrees_with_transfer_matrix():
             tables = count_tables(s, n, 8)
             for m in range(9):
                 assert brute_force_counts(s, n, m) == tables[m]
+
+
+def test_tables_agree_with_transfer_matrix():
+    # the pass over 8 rows reads the shorter boards at boundaries that
+    # squares anchored higher up may straddle
+    for s in range(1, 7):
+        for n in range(1, 9):
+            assert brute_force_tables(s, n, 8) == count_tables(s, n, 8)
+
+
+def test_tables_empty_length():
+    assert brute_force_tables(2, 4, 0) == [CountTable(2, 4, 0, (1,))]
+
+
+def test_tables_cell_cap_charges_longest_board():
+    with pytest.raises(BoardTooLarge) as err:
+        brute_force_tables(2, 5, 13)
+    assert err.value.cells == 65
+    assert err.value.cap == 64
+    assert len(brute_force_tables(2, 5, 13, cell_cap=65)) == 14
+
+
+def test_counts_are_last_table():
+    # for m < n the single board is scanned turned, yet keeps its n and m
+    for s, n, m in [(2, 3, 5), (2, 5, 3), (3, 7, 4), (2, 6, 1), (1, 3, 3)]:
+        assert brute_force_counts(s, n, m) == brute_force_tables(s, n, m)[m]
+
+
+def test_oracle_imports_only_count_table():
+    # a second route: nothing from the transfer graph or the GF solver
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    package = [
+        (node.level, node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.startswith("sqtilings"))
+    ]
+    assert package == [(1, "series", ["CountTable"])]
+    assert not any(
+        alias.name.startswith("sqtilings")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    )
