@@ -41,7 +41,6 @@ from .identities import (
 from .oracle import (
     DEFAULT_CELL_CAP,
     BoardTooLarge,
-    brute_force_counts,
     brute_force_tables,
 )
 from .poly import BiPoly, PolyT, RatFun
@@ -50,7 +49,6 @@ from .series import (
     count_table,
     count_tables,
     paper_line,
-    square_table,
     table_record,
     tables_to_csv,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "RatFun",
     "StateCapExceeded",
     "TransferGraph",
-    "brute_force_counts",
     "brute_force_tables",
     "check_basic",
     "check_conjectures",
@@ -88,7 +85,6 @@ __all__ = [
     "paper_line",
     "run_verification",
     "series_expand",
-    "square_table",
     "table_record",
     "tables_to_csv",
     "transitions",

@@ -35,7 +35,6 @@ from .series import (
     count_table,
     count_tables,
     paper_line,
-    square_table,
     table_record,
     tables_to_csv,
 )
@@ -59,7 +58,10 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_square(args, out) -> int:
-    tables = square_table(args.s, args.size_max, args.state_cap)
+    tables = [
+        count_table(args.s, i, i, args.state_cap)
+        for i in range(1, args.size_max + 1)
+    ]
     out.write(_render_tables(tables, args.format))
     return 0
 
@@ -91,7 +93,7 @@ def cmd_verify(args, out) -> int:
         out.write(json.dumps(payload, indent=2) + "\n")
     else:
         lines = [r.render_text() for r in reports]
-        total = sum(sum(1 for c in r.checks if not c.informational) for r in reports)
+        total = sum(r.enforced for r in reports)
         verdict = "all passed" if ok else "FAILURES above"
         lines.append(f"{total} enforced checks: {verdict}")
         out.write("\n".join(lines) + "\n")

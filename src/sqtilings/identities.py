@@ -29,7 +29,7 @@ from collections import namedtuple
 from math import comb
 
 from .engine import DEFAULT_STATE_CAP
-from .oracle import brute_force_counts, brute_force_tables
+from .oracle import brute_force_tables
 from .series import CountTable, count_tables
 
 
@@ -75,13 +75,17 @@ class IdentityReport:
         return all(c.ok for c in self.checks if not c.informational)
 
     @property
+    def enforced(self) -> int:
+        """How many checks count towards :attr:`passed`."""
+        return sum(1 for c in self.checks if not c.informational)
+
+    @property
     def failures(self) -> list:
         return [c for c in self.checks if not c.ok and not c.informational]
 
     def render_text(self) -> str:
-        enforced = sum(1 for c in self.checks if not c.informational)
         status = "PASS" if self.passed else "FAIL"
-        lines = [f"[{status}] {self.name}: {enforced} checks"]
+        lines = [f"[{status}] {self.name}: {self.enforced} checks"]
         for c in self.failures:
             lines.append(
                 f"  FAIL {c.identity} [{_fmt_params(c.params)}]: "
@@ -127,7 +131,8 @@ def check_basic(
     counts are invariant under swapping n and m.  When ``oracle_cell_cap``
     is positive (0 turns the oracle off), the boards n x m with n <= m and
     at most that many cells are also recounted by the exhaustive oracle:
-    one :func:`brute_force_tables` pass per (s, n) gives every length.
+    one :func:`brute_force_tables` pass of width n per (s, n) gives every
+    length.
     """
     report = IdentityReport("basic count identities")
     for s in range(1, s_max + 1):
@@ -303,6 +308,9 @@ def check_conjectures(
     (1, (s+1)(s+2), 4s^2+10s+1, 16s+2, 9); for 2s x (2s+2), s >= 3,
     (1, (s+1)(s+3), 7s^2+18s+3, 40s+8, 36).  Unproved: these checks
     confirm instances, and a failing instance would refute the pattern.
+    When ``oracle_cell_cap`` is positive, each board with at most that
+    many cells is also recounted as the last table of one
+    :func:`brute_force_tables` pass: m = 2s+1 or 2s+2 rows of width 2s.
     """
     report = IdentityReport("conjectured near-square count vectors")
     patterns = (
@@ -323,7 +331,7 @@ def check_conjectures(
                 report.add(
                     "oracle_agreement",
                     {"s": s, "n": n, "m": m},
-                    brute_force_counts(s, n, m, oracle_cell_cap).counts,
+                    brute_force_tables(s, n, m, oracle_cell_cap)[m].counts,
                     actual,
                 )
     return report

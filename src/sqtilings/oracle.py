@@ -14,10 +14,10 @@ a subset of the cells, so every coefficient is at most 2^cells and fits.
 A row boundary where no square sticks out past the line is exactly the
 board of the rows above it, so the all-empty state (mask 0) there holds
 that board's polynomial.  One pass over M rows therefore reads every
-length 0 .. M at its row boundaries: :func:`brute_force_tables` keeps
-them all, and :func:`brute_force_counts` keeps the last of a pass whose
-rows run along the board's shorter side (counts do not change under
-rotation).
+length 0 .. M at its row boundaries, and :func:`brute_force_tables`
+keeps them all.  The oracle never rotates a board: an n x m board is
+scanned as m rows of width n, so it does not lean on the rotation
+symmetry that the transfer-matrix route uses for short boards.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ def _table(s: int, n: int, m: int, packed: int, width: int) -> CountTable:
     return CountTable(s, n, m, tuple(counts))
 
 
-def _check(s: int, n: int, m: int, cell_cap: int) -> None:
-    if s < 1 or n < 1 or m < 0:
-        raise ValueError("square size and board sides must be positive")
-    if n * m > cell_cap:
-        raise BoardTooLarge(n * m, cell_cap)
-
-
 def brute_force_tables(
     s: int, n: int, m_max: int, cell_cap: int = DEFAULT_CELL_CAP
 ) -> list:
@@ -89,18 +82,13 @@ def brute_force_tables(
 
     The cap is charged on the n x m_max board, the longest of the pass.
     """
-    _check(s, n, m_max, cell_cap)
+    if s < 1 or n < 1:
+        raise ValueError("square size and width must be positive")
+    if m_max < 0:
+        raise ValueError("board length must be >= 0")
+    if n * m_max > cell_cap:
+        raise BoardTooLarge(n * m_max, cell_cap)
     return [
         _table(s, n, m, packed, n * m_max + 1)
         for m, packed in enumerate(_row_ends(s, m_max, n))
     ]
-
-
-def brute_force_counts(
-    s: int, n: int, m: int, cell_cap: int = DEFAULT_CELL_CAP
-) -> CountTable:
-    """Exact counts for the n x m board by direct enumeration."""
-    _check(s, n, m, cell_cap)
-    for packed in _row_ends(s, max(n, m), min(n, m)):
-        pass
-    return _table(s, n, m, packed, n * m + 1)

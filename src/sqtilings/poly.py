@@ -73,9 +73,10 @@ def _exact_div_terms(num: dict, den: dict) -> dict:
 
     Greedy division by the leading term under the packed-key order (lex in
     z then t), which is a valid monomial order because keys add without
-    carries.  A one-term divisor skips the greedy loop and divides each
-    term on its own, with the same checks.  Exactness failures can only
-    come from internal bugs, so the error is loud rather than recoverable.
+    carries.  A one-term divisor runs the same loop with nothing to
+    subtract, so each step divides one term under the same checks.
+    Exactness failures can only come from internal bugs, so the error is
+    loud rather than recoverable.
     """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
@@ -85,13 +86,6 @@ def _exact_div_terms(num: dict, den: dict) -> dict:
     dcoef = den[dlead]
     dz, dt = dlead >> _SHIFT, dlead & _TMASK
     q: dict = {}
-    if len(den) == 1:
-        for k, c in num.items():
-            qc, rem = divmod(c, dcoef)
-            if rem or k >> _SHIFT < dz or k & _TMASK < dt:
-                raise ValueError("inexact polynomial division")
-            q[k - dlead] = qc
-        return q
     rest = [(k, c) for k, c in den.items() if k != dlead]
     r = dict(num)
     while r:

@@ -180,13 +180,6 @@ def count_table(
     return _table(s, n, m, _unpack(x, width))
 
 
-def square_table(
-    s: int, size_max: int, state_cap: int = DEFAULT_STATE_CAP
-) -> list:
-    """Count tables of the square boards n = m = 1 .. size_max."""
-    return [count_table(s, i, i, state_cap) for i in range(1, size_max + 1)]
-
-
 # ---------------------------------------------------------------------------
 # output formats
 

@@ -99,6 +99,7 @@ def test_failing_check_is_reported():
     report.add("broken", {"s": 2, "n": 3}, (1, 2), (1, 3))
     report.add("side_note", {"s": 2}, True, False, informational=True)
     assert not report.passed
+    assert report.enforced == 2  # the informational check is not counted
     assert len(report.failures) == 1
     assert report.failures[0].identity == "broken"
     text = report.render_text()

@@ -96,6 +96,21 @@ def test_exact_division_inverts_multiplication(a, b):
     assert _exact_div_terms(_cross_terms(a.terms, b.terms, {}, {}), b.terms) == a.terms
 
 
+def test_one_term_exact_division():
+    # a one-term divisor runs the greedy loop with nothing to subtract
+    num = "6*z^3*t^2 - 4*z^2*t^5 + 2*z*t"
+    for den, quotient in [
+        ("2", "3*z^3*t^2 - 2*z^2*t^5 + z*t"),
+        ("z", "6*z^2*t^2 - 4*z*t^5 + 2*t"),
+        ("t", "6*z^3*t - 4*z^2*t^4 + 2*z"),
+        ("-2*z*t", "-3*z^2*t + 2*z*t^4 - 1"),
+    ]:
+        assert (
+            _exact_div_terms(BiPoly.parse(num).terms, BiPoly.parse(den).terms)
+            == BiPoly.parse(quotient).terms
+        )
+
+
 def test_inexact_division_raises():
     num = BiPoly.parse("z^2 + 1")
     den = BiPoly.parse("z + 1")

@@ -12,7 +12,6 @@ from sqtilings.series import (
     count_table,
     count_tables,
     paper_line,
-    square_table,
     table_record,
     tables_to_csv,
 )
@@ -197,8 +196,9 @@ def test_rotation_symmetry(s, n, m):
     assert count_table(s, n, m).counts == count_table(s, m, n).counts
 
 
-def test_square_table():
-    tables = square_table(2, 4)
+def test_square_boards():
+    # the square boards that `square --size-max 4` prints
+    tables = [count_table(2, i, i) for i in range(1, 5)]
     assert [t.m for t in tables] == [1, 2, 3, 4]
     assert tables[1].counts == (1, 1)
     assert tables[2].counts == (1, 4)
