@@ -7,14 +7,30 @@ system in one format, ``TransferGraph.edges``: edge (dst, k, mult) out of
 src puts mult * z * t^k into entry (dst, src) of M.  The graph is the
 quotient of the front graph by its coarsest exact lumping (see
 :mod:`sqtilings.engine`), so its head component is the same rational
-function, and det(I - M) is a factor of the unlumped one.  The solve runs
-entirely in Z[z, t] using one-step fraction-free (Bareiss) elimination:
-every division performed is exact, so no rational-function or gcd
-machinery is needed, and the head component drops out of the final
-surviving equation as a numerator/denominator pair.
+function, and det(I - M) is a factor of the unlumped one.
+
+The solve is one-step fraction-free (Bareiss) elimination over Z[z] with
+t evaluated at 2^B (Kronecker substitution): each entry of I - M becomes
+a term map in z alone whose coefficients hold its t-polynomials in B-bit
+slots, so the t-direction of every product runs inside one big-int
+multiply.  Every division performed is exact, so no rational-function or
+gcd machinery is needed, and the head component drops out of the final
+surviving equation as a numerator/denominator pair, whose coefficients
+are split back into their t-slots.  The result is exact:
+
+* t -> 2^B is a ring map from Z[z, t] onto Z[z], an integral domain, and
+  Bareiss uses only ring operations and exact divisions by pivots that
+  are nonzero there.  So the survivor holds det(I - M) and the (0, 0)
+  cofactor evaluated at t = 2^B, up to one shared sign, whatever pivots
+  it took; entries met on the way are never decoded and need no bound.
+* Every coefficient of those two minors is at most the Hadamard bound H
+  of I - M (see ``_slot_bits``), and B = ceil(log2 H) + 2 makes
+  H < 2^(B-1), so the split into balanced signed slots is unique.
+* The ratio cofactor / det, normalised by ``RatFun``, does not depend on
+  the pivot order.
 
 Two implementation notes.  Pivots are free (full pivoting) and chosen to
-keep the active submatrix sparse: fewest-term entry first, then least
+keep the active submatrix sparse: fewest z-terms first, then least
 Markowitz fill, with index tie-breaks for determinism; the column counts
 behind the fill are recounted from the live rows at each pivot step.  And
 rows that a pivot step does not touch keep their older scale: a row last
@@ -72,15 +88,16 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
     if dim > dim_cap:
         raise DimensionCapExceeded(dim, dim_cap)
     rhs = dim  # extra column index for the right-hand side e0
+    bits = _slot_bits(edges)
 
-    # row i of I - M; every entry of M carries a factor z, so the
-    # diagonal's constant 1 never cancels
+    # row i of I - M at t = 2^bits, a term map over z alone; every entry of
+    # M carries a factor z, so the diagonal's constant 1 never cancels
+    z1 = _pack(1, 0)
     rows: dict = {i: {i: {0: 1}} for i in range(dim)}
     for src, lst in enumerate(edges):
         for dst, k, mult in lst:
             terms = rows[dst].setdefault(src, {})
-            key = _pack(1, k)
-            terms[key] = terms.get(key, 0) - mult
+            terms[z1] = terms.get(z1, 0) - (mult << k * bits)
     rows[0][rhs] = {0: 1}
 
     pivots = [{0: 1}]
@@ -145,7 +162,57 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
     den = row.get(0)
     if not den:
         raise EliminationError("head variable dropped out, system is singular")
-    return RatFun(BiPoly(row.get(rhs, {})), BiPoly(den))
+    return RatFun(
+        BiPoly(_unpack_t(row.get(rhs, {}), bits)), BiPoly(_unpack_t(den, bits))
+    )
+
+
+def _slot_bits(edges) -> int:
+    """Slot width B that holds every coefficient of det(I - M) and its cofactors.
+
+    The z^a t^b coefficient of a polynomial is its mean times z^-a t^-b
+    over the torus |z| = |t| = 1.  There each entry a_ij of I - M has
+    modulus at most |a_ij|_1, its summed absolute coefficients, so by
+    Hadamard's inequality no coefficient of the determinant exceeds
+    H = prod over columns j of sqrt(sum over rows i of |a_ij|_1^2), nor
+    any of a cofactor, whose columns are shorter.  B = ceil(log2 H) + 2,
+    computed from H^2 in integers.
+    """
+    h2 = 1
+    for src, lst in enumerate(edges):
+        norms: dict = {src: 1}  # the diagonal's 1 and any self-loop add up
+        for dst, _, mult in lst:
+            norms[dst] = norms.get(dst, 0) + mult
+        h2 *= sum(v * v for v in norms.values())
+    # ceil(log2 H) is the least b with 4^b >= H^2
+    return ((h2 - 1).bit_length() + 1) // 2 + 2
+
+
+def _split_slots(value: int, bits: int) -> dict:
+    """t-exponent -> coefficient of a value packed at t = 2^bits.
+
+    Each slot holds a coefficient c with -2^(bits-1) <= c < 2^(bits-1).
+    """
+    out = {}
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    k = 0
+    while value:
+        c = ((value + half) & mask) - half
+        if c:
+            out[k] = c
+        value = (value - c) >> bits
+        k += 1
+    return out
+
+
+def _unpack_t(terms: dict, bits: int) -> dict:
+    """Packed (z, t) term map of a z-term map evaluated at t = 2^bits."""
+    return {
+        zkey | k: c
+        for zkey, v in terms.items()
+        for k, c in _split_slots(v, bits).items()
+    }
 
 
 def series_expand(ratio: RatFun, z_order: int) -> list:

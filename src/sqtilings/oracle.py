@@ -8,8 +8,10 @@ monomer or by an s x s square anchored there, which generates every tiling
 exactly once; identical masks reached along different placement histories
 are merged, so the count stays exact while boards near the cell cap remain
 tractable.  Each state carries its polynomial in t packed into one int,
-with slot width cells + 1: a tiling is fixed by its set of square anchors,
-a subset of the cells, so every coefficient is at most 2^cells and fits.
+in slots of cells + 1 bits rounded up to whole bytes: a tiling is fixed
+by its set of square anchors, a subset of the cells, so every coefficient
+is at most 2^cells and fits.  Whole-byte slots let a table unpack from
+one ``to_bytes``, in time linear in the packed int's size.
 
 A row boundary where no square sticks out past the line is exactly the
 board of the rows above it, so the all-empty state (mask 0) there holds
@@ -36,12 +38,12 @@ class BoardTooLarge(ValueError):
         super().__init__(f"board has {cells} cells, oracle cap is {cap}")
 
 
-def _row_ends(s: int, rows: int, cols: int):
+def _row_ends(s: int, rows: int, cols: int, size: int):
     """Yield the r x cols board's packed polynomial for r = 0 .. rows.
 
-    Slots are rows * cols + 1 bits wide at every r.
+    Slots are ``size`` bytes wide at every r.
     """
-    width = rows * cols + 1
+    width = 8 * size
     # footprint of a square anchored at the current cell, bit 0 = that cell
     foot = sum(1 << (r * cols + c) for r in range(s) for c in range(s))
     states = {0: 1}  # occupancy of cells p, p+1, ... -> packed t-polynomial
@@ -62,11 +64,13 @@ def _row_ends(s: int, rows: int, cols: int):
         yield states[0]
 
 
-def _table(s: int, n: int, m: int, packed: int, width: int) -> CountTable:
-    counts = []  # the top slot is nonzero, so no trailing zeros to trim
-    while packed:
-        counts.append(packed & ((1 << width) - 1))
-        packed >>= width
+def _table(s: int, n: int, m: int, packed: int, size: int) -> CountTable:
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    # the top slot is nonzero, so no trailing zeros to trim
+    counts = [
+        int.from_bytes(data[lo:lo + size], "little")
+        for lo in range(0, len(data), size)
+    ]
     if len(counts) > n * m // (s * s) + 1:
         raise RuntimeError(
             f"{n} x {m} board: {len(counts) - 1} squares of side {s} "
@@ -88,7 +92,8 @@ def brute_force_tables(
         raise ValueError("board length must be >= 0")
     if n * m_max > cell_cap:
         raise BoardTooLarge(n * m_max, cell_cap)
+    size = n * m_max // 8 + 1  # bytes that hold n * m_max + 1 bits
     return [
-        _table(s, n, m, packed, n * m_max + 1)
-        for m, packed in enumerate(_row_ends(s, m_max, n))
+        _table(s, n, m, packed, size)
+        for m, packed in enumerate(_row_ends(s, m_max, n, size))
     ]

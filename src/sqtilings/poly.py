@@ -13,8 +13,9 @@ small types cover everything the counting code needs:
 
 A BiPoly stores its terms as ``{(z_exp << 32) | t_exp: coeff}``.  Packing
 both exponents into one int makes monomial multiplication a plain integer
-addition of keys, which is where the fraction-free elimination in
-:mod:`sqtilings.gfun` spends nearly all of its time.
+addition of keys.  The elimination in :mod:`sqtilings.gfun` runs the same
+term-map helpers on keys with t exponent 0, because it carries t inside
+the coefficients.
 
 The text format used by the CLI and by fixture files writes terms in
 ascending graded-lexicographic order (total degree, then z power, then t

@@ -1,10 +1,16 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from sqtilings import gfun
 from sqtilings.engine import enumerate_states
 from sqtilings.gfun import (
     DimensionCapExceeded,
+    _slot_bits,
+    _split_slots,
     emit_cas_script,
     generating_function,
     parse_cas_script,
@@ -57,12 +63,12 @@ def _det(a):
     return det
 
 
-@pytest.mark.parametrize("s,n", [(1, 3), (2, 5), (2, 7), (3, 7), (4, 9), (3, 9)])
-def test_gf_is_cofactor_over_determinant(gf_of, s, n):
-    # Cramer's rule for (I - M) x = e0: x0 = det(I - M without row and
-    # column 0) / det(I - M), exactly, with no common factor cancelled
-    edges = enumerate_states(s, n).edges
-    ratio = gf_of(s, n)
+def _is_cramer(edges, ratio):
+    """Cramer's rule for (I - M) x = e0 at three rational points.
+
+    x0 = det(I - M without row and column 0) / det(I - M), exactly, with
+    no common factor cancelled.
+    """
     dim = len(edges)
     points = [
         (Fraction(1, 3), Fraction(2, 5)),
@@ -74,8 +80,79 @@ def test_gf_is_cofactor_over_determinant(gf_of, s, n):
         for src, lst in enumerate(edges):
             for dst, k, mult in lst:
                 a[dst][src] -= mult * z * t**k
-        assert _at(ratio.den, z, t) == _det(a)
-        assert _at(ratio.num, z, t) == _det([row[1:] for row in a[1:]])
+        if _at(ratio.den, z, t) != _det(a):
+            return False
+        if _at(ratio.num, z, t) != _det([row[1:] for row in a[1:]]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("s,n", [(1, 3), (2, 5), (2, 7), (3, 7), (4, 9), (3, 9)])
+def test_gf_is_cofactor_over_determinant(gf_of, s, n):
+    assert _is_cramer(enumerate_states(s, n).edges, gf_of(s, n))
+
+
+def _widest(ratio):
+    return max(
+        abs(c).bit_length() for poly in (ratio.num, ratio.den) for c in poly.terms.values()
+    )
+
+
+def test_narrow_slots_break_cofactor_check(gf_of, monkeypatch):
+    # a balanced slot of B bits holds every coefficient of at most B - 1
+    # bits; three bits fewer wrap the widest ones
+    edges = enumerate_states(3, 9).edges
+    widest = _widest(gf_of(3, 9))
+    for bits, exact in ((widest + 1, True), (widest - 2, False)):
+        monkeypatch.setattr(gfun, "_slot_bits", lambda edges: bits)
+        assert _is_cramer(edges, generating_function(edges)) is exact
+
+
+def test_slot_bits_leave_two_spare_bits(gf_of):
+    # every system acceptance criterion 4 solves: dimension <= 60, n <= 12,
+    # s2n11 left to the stretch tier
+    for s in range(1, 7):
+        for n in range(1, 13):
+            edges = enumerate_states(s, n).edges
+            if len(edges) > 60 or (s, n) == (2, 11):
+                continue
+            assert _slot_bits(edges) >= _widest(gf_of(s, n)) + 2, (s, n)
+
+
+@st.composite
+def _slotted(draw):
+    bits = draw(st.integers(1, 70))
+    half = 1 << (bits - 1)
+    return bits, draw(st.lists(st.integers(-half, half - 1), max_size=12))
+
+
+@given(_slotted())
+@example((8, [0, 5, 0, -128]))  # zero slots and a negative top slot
+@example((3, [-1]))
+@example((5, []))
+def test_signed_slots_round_trip(case):
+    bits, coeffs = case
+    value = sum(c << k * bits for k, c in enumerate(coeffs))
+    assert _split_slots(value, bits) == {k: c for k, c in enumerate(coeffs) if c}
+
+
+# SHA-256 of generating_function(...).render() for the gf-swell systems, as
+# computed by elimination over Z[z, t] before t was packed into slots
+GF_SWELL_DIGESTS = {
+    (2, 9): "d0365780e6b4aa91e63a6f105b15020d88628e9a198672c27a5bfa35818cd922",
+    (3, 10): "1cc336a837e6eacbf9c2c69c68e24e4340112e531fa25c6b7c680a5dcc634527",
+    (4, 12): "abc2786fb8b8f851fa652d4f357cc911a5296a6c3e8cce1212d435957e166442",
+    (6, 14): "cd01cbaa9c64d2faaeb61c1b3086852d96851344ce4305d22ab1f53c77ab63b1",
+    (6, 13): "72b4fd8d104ee9c62ba347ede4468c37bb6e78eb92c742dc83c7773385ceef66",
+    (5, 12): "1cc5f11f22b43219852d200520304ddfdacd259468a6cb8b96b5f8d1ca31d84e",
+    (5, 11): "9e279d16262726950d19e6e3cd62de530992b8fa467796e2edb5fa6b08f35237",
+}
+
+
+@pytest.mark.parametrize("s,n", sorted(GF_SWELL_DIGESTS))
+def test_gf_swell_renders_are_pinned(gf_of, s, n):
+    text = gf_of(s, n).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == GF_SWELL_DIGESTS[(s, n)]
 
 
 def test_denominator_normalized_to_unit_constant(gf_of):
