@@ -10,83 +10,70 @@ the transfer graph from :func:`enumerate_states`.  The same edges are
 written out as a CAS script by :func:`emit_cas_script` and read back by
 :func:`parse_cas_script`.  A brute-force oracle and a collection of
 closed-form identities double-check everything independently.
+
+Every name in ``__all__`` is resolved on first use: ``import sqtilings``
+loads no submodule, and ``sqtilings.count_tables`` imports
+``sqtilings.series`` the first time it is read, so a command-line run
+loads only the modules its subcommand calls.
 """
 
-from .engine import (
-    DEFAULT_STATE_CAP,
-    StateCapExceeded,
-    TransferGraph,
-    enumerate_states,
-    transitions,
-)
-from .gfun import (
-    DEFAULT_DIM_CAP,
-    DimensionCapExceeded,
-    EliminationError,
-    emit_cas_script,
-    generating_function,
-    parse_cas_script,
-    series_expand,
-)
-from .identities import (
-    CheckResult,
-    IdentityReport,
-    check_basic,
-    check_conjectures,
-    check_single_lane,
-    check_subwidth,
-    check_two_s_square,
-    run_verification,
-)
-from .oracle import (
-    DEFAULT_CELL_CAP,
-    BoardTooLarge,
-    brute_force_tables,
-)
-from .poly import BiPoly, PolyT, RatFun
-from .series import (
-    CountTable,
-    count_table,
-    count_tables,
-    paper_line,
-    table_record,
-    tables_to_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoly",
-    "BoardTooLarge",
-    "CheckResult",
-    "CountTable",
-    "DEFAULT_CELL_CAP",
-    "DEFAULT_DIM_CAP",
-    "DEFAULT_STATE_CAP",
-    "DimensionCapExceeded",
-    "EliminationError",
-    "IdentityReport",
-    "PolyT",
-    "RatFun",
-    "StateCapExceeded",
-    "TransferGraph",
-    "brute_force_tables",
-    "check_basic",
-    "check_conjectures",
-    "check_single_lane",
-    "check_subwidth",
-    "check_two_s_square",
-    "count_table",
-    "count_tables",
-    "emit_cas_script",
-    "enumerate_states",
-    "generating_function",
-    "parse_cas_script",
-    "paper_line",
-    "run_verification",
-    "series_expand",
-    "table_record",
-    "tables_to_csv",
-    "transitions",
-    "__version__",
-]
+# the exports of each defining module
+_EXPORTS = {
+    "engine": (
+        "CapExceeded",
+        "DEFAULT_DIM_CAP",
+        "DEFAULT_STATE_CAP",
+        "StateCapExceeded",
+        "TransferGraph",
+        "enumerate_states",
+        "transitions",
+    ),
+    "gfun": (
+        "DimensionCapExceeded",
+        "EliminationError",
+        "emit_cas_script",
+        "generating_function",
+        "parse_cas_script",
+        "series_expand",
+    ),
+    "identities": (
+        "CheckResult",
+        "IdentityReport",
+        "check_basic",
+        "check_conjectures",
+        "check_single_lane",
+        "check_subwidth",
+        "check_two_s_square",
+        "run_verification",
+    ),
+    "oracle": ("BoardTooLarge", "DEFAULT_CELL_CAP", "brute_force_tables"),
+    "poly": ("BiPoly", "PolyT", "RatFun"),
+    "series": (
+        "CountTable",
+        "count_table",
+        "count_tables",
+        "paper_line",
+        "table_record",
+        "tables_to_csv",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

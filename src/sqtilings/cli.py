@@ -11,44 +11,56 @@ Subcommands:
 Exit codes: 0 on success, 1 when a verification check fails, 2 for usage
 errors (an ``--out`` file that cannot be written among them) and for
 boards that exceed a configured cap.
+
+A run loads only the modules its subcommand calls: ``gf`` never imports
+``series``, ``identities`` or ``oracle``, and ``table`` never imports
+``gfun`` or ``poly``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import sys
 from contextlib import nullcontext
 
 from . import __version__
-from .engine import DEFAULT_STATE_CAP, StateCapExceeded, enumerate_states
-from .gfun import (
-    DEFAULT_DIM_CAP,
-    DimensionCapExceeded,
-    emit_cas_script,
-    generating_function,
-    parse_cas_script,
-)
-from .identities import run_verification
-from .oracle import DEFAULT_CELL_CAP, BoardTooLarge
-from .series import (
-    count_table,
-    count_tables,
-    paper_line,
-    table_record,
-    tables_to_csv,
-)
+from .engine import DEFAULT_DIM_CAP, DEFAULT_STATE_CAP, CapExceeded, enumerate_states
+
+
+def _on_first_call(module: str, name: str):
+    """Stand-in for ``module.name`` that imports ``module`` when first called.
+
+    The commands call through the stand-in, a module attribute of its own,
+    so a test or a tracer can replace it like any other function.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+generating_function = _on_first_call(".gfun", "generating_function")
+run_verification = _on_first_call(".identities", "run_verification")
 
 
 def _render_tables(tables, fmt: str) -> str:
+    from .series import paper_line, table_record, tables_to_csv
+
     if fmt == "paper":
         return "\n".join(paper_line(t) for t in tables) + "\n"
     if fmt == "csv":
         return tables_to_csv(tables)
+    import json  # here, as json is the only format that needs it
+
     return json.dumps([table_record(t) for t in tables], indent=2) + "\n"
 
 
 def cmd_table(args, out) -> int:
+    from .series import count_table, count_tables
+
     if args.m is not None:
         tables = [count_table(args.s, args.n, args.m, args.state_cap)]
     else:
@@ -58,6 +70,8 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_square(args, out) -> int:
+    from .series import count_table
+
     tables = [
         count_table(args.s, i, i, args.state_cap)
         for i in range(1, args.size_max + 1)
@@ -77,15 +91,19 @@ def cmd_gf(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .oracle import DEFAULT_CELL_CAP
+
     reports = run_verification(
         s_max=args.s_max,
         n_max=args.n_max,
         m_max=args.m_max,
         state_cap=args.state_cap,
-        oracle_cell_cap=args.oracle_cap,
+        oracle_cell_cap=DEFAULT_CELL_CAP if args.oracle_cap is None else args.oracle_cap,
     )
     ok = all(r.passed for r in reports)
     if args.format == "json":
+        import json
+
         payload = {
             "passed": ok,
             "reports": [r.to_json_dict() for r in reports],
@@ -101,6 +119,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_cas(args, out) -> int:
+    from .gfun import emit_cas_script, parse_cas_script
+
     graph = enumerate_states(args.s, args.n, args.state_cap)
     script = emit_cas_script(graph.edges)
     out.write(script)
@@ -183,13 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", parents=[common],
                         help="run identity and conjecture checks")
-    p.add_argument("--s-max", type=_positive, default=5)
-    p.add_argument("--n-max", type=_positive, default=10)
-    p.add_argument("--m-max", type=_non_negative, default=10)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--s-max", type=_positive, default=5,
+                   help="largest square side of the identity checks (default "
+                   "5); the conjecture instances s = 2, 3, 4 run whatever it is")
+    p.add_argument("--n-max", type=_positive, default=10,
+                   help="largest board height checked (default 10)")
+    p.add_argument("--m-max", type=_non_negative, default=10,
+                   help="largest board length checked (default 10)")
+    p.add_argument("--format", choices=["text", "json"], default="text",
+                   help="report format (default text)")
+    # None stands for the oracle's DEFAULT_CELL_CAP, which cmd_verify
+    # reads, so that parsing loads no oracle
     p.add_argument(
-        "--oracle-cap", type=_non_negative, default=DEFAULT_CELL_CAP,
-        metavar="CELLS",
+        "--oracle-cap", type=_non_negative, default=None, metavar="CELLS",
         help="largest board, in cells, recounted by the exhaustive "
         "oracle (0 disables the oracle cross-checks)",
     )
@@ -214,7 +240,7 @@ def main(argv=None) -> int:
         # open --out before the work starts, as shell redirection does
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
             return args.func(args, out)
-    except (StateCapExceeded, BoardTooLarge, DimensionCapExceeded, OSError) as exc:
+    except (CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

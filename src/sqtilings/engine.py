@@ -37,12 +37,19 @@ from __future__ import annotations
 
 from math import comb
 
+# Caps on fronts enumerated and on the unknowns gfun eliminates; both live
+# here, in the one module every CLI command loads, for the CLI's parser.
 DEFAULT_STATE_CAP = 100_000
+DEFAULT_DIM_CAP = 400
 
 # FrontState is a plain tuple of lane overhangs, e.g. (1, 1, 0) for s=2, n=3.
 
 
-class StateCapExceeded(RuntimeError):
+class CapExceeded(RuntimeError):
+    """A run needs more than a configured cap allows."""
+
+
+class StateCapExceeded(CapExceeded):
     """Reachable front count went past the configured cap."""
 
     def __init__(self, count: int, cap: int):

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import re
 
+from .engine import DEFAULT_DIM_CAP, CapExceeded
 from .poly import (
     BiPoly,
     PolyT,
@@ -62,10 +63,8 @@ from .poly import (
     _SHIFT,
 )
 
-DEFAULT_DIM_CAP = 400
 
-
-class DimensionCapExceeded(RuntimeError):
+class DimensionCapExceeded(CapExceeded):
     """Transfer system is larger than the configured elimination cap."""
 
     def __init__(self, dim: int, cap: int):

@@ -27,8 +27,6 @@ the last.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import namedtuple
 
 from .engine import DEFAULT_STATE_CAP, enumerate_states
@@ -191,6 +189,9 @@ def paper_line(table: CountTable) -> str:
 
 
 def tables_to_csv(tables) -> str:
+    import csv  # here, so that only csv output pays for loading it
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["s", "n", "m", "k", "count"])

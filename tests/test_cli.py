@@ -220,17 +220,38 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_out_dataclasses():
-    # dataclasses pulls in inspect, ast, dis and tokenize, which every CLI
-    # process would pay for at start-up
+@pytest.mark.parametrize(
+    "call, package_modules",
+    [
+        pytest.param("build_parser()", {"cli", "engine"}, id="parser"),
+        pytest.param('main(["gf", "--s", "2", "--n", "3"])',
+                     {"cli", "engine", "gfun", "poly"}, id="gf"),
+        pytest.param('main(["table", "--s", "2", "--n", "3", "--m", "5", '
+                     '"--format", "paper"])',
+                     {"cli", "engine", "series"}, id="table"),
+    ],
+)
+def test_cli_loads_only_what_the_command_runs(call, package_modules):
+    # every CLI process pays to load (and, without bytecode caches, to
+    # compile) each module it imports; dataclasses pulls in inspect, ast,
+    # dis and tokenize, and json and csv serve only their output formats
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, sqtilings.cli; print('dataclasses' in sys.modules)"
+    code = (
+        "import sys\n"
+        "from sqtilings.cli import build_parser, main\n"
+        f"{call}\n"
+        "print(*sorted(sys.modules))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert {m for m in loaded if m.startswith("sqtilings")} == {
+        "sqtilings", *(f"sqtilings.{m}" for m in package_modules)
+    }
+    assert not loaded & {"dataclasses", "json", "csv"}
 
 
 def test_version_flag(capsys):
