@@ -30,7 +30,6 @@ _EXPORTS = {
         "StateCapExceeded",
         "TransferGraph",
         "enumerate_states",
-        "transitions",
     ),
     "gfun": (
         "DimensionCapExceeded",

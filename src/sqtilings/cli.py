@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write to this file instead of stdout")
     common.add_argument(
         "--state-cap", type=_positive, default=DEFAULT_STATE_CAP, metavar="N",
-        help="abort if the transfer graph needs more states than this",
+        help="abort if the front search needs more advance classes than this",
     )
 
     p = subs.add_parser("table", parents=[common],
@@ -195,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--gf-cap", type=_positive, default=DEFAULT_DIM_CAP, metavar="N",
         help="abort if the lumped linear system has more unknowns than "
-        "this; it bounds size, not time (s2n11, dimension 49, takes "
-        "about 2.6 s; s4n12, dimension 58, under 0.1 s; s4n13, "
-        "dimension 90, about 0.4 s)",
+        "this; it bounds the number of unknowns, not the time",
     )
     p.set_defaults(func=cmd_gf)
 

@@ -31,14 +31,26 @@ lists.  A multiplicity is then any integer >= 1: the number of placement
 sets from a block's representative front that land in the target block
 with k squares.  For s = 1 every placement returns to the single flat
 front and the multiplicities are binomials.
+
+Before a front is expanded, ``enumerate_states`` looks up its advance
+class: the mirror-canonical form of the front with every maximal run of
+fewer than s flat lanes raised to height 1.  No square fits in such a run
+and its lanes read 0 after the advance either way, so the fronts of one
+class have the same transitions up to mirroring, and merging them is
+itself an exact lumping, applied before expansion instead of after.  Each
+class is expanded once, from the first front met in it, which stays its
+representative, so the quotient is the one the refinement of all mirror
+fronts gives.  At s = 2 the classes are already the quotient: n = 14 has
+184 classes against 322 mirror fronts, n = 18 has 1052 against 2135.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-# Caps on fronts enumerated and on the unknowns gfun eliminates; both live
-# here, in the one module every CLI command loads, for the CLI's parser.
+# Caps on the advance classes the front search stores and on the unknowns
+# gfun eliminates; both live here, in the one module every CLI command
+# loads, for the CLI's parser.
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_DIM_CAP = 400
 
@@ -50,46 +62,14 @@ class CapExceeded(RuntimeError):
 
 
 class StateCapExceeded(CapExceeded):
-    """Reachable front count went past the configured cap."""
+    """The front search met more advance classes than the cap allows."""
 
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"state space needs at least {count} fronts, cap is {cap}")
-
-
-def _free_anchors(heights: tuple, s: int) -> tuple:
-    """Left edges of the runs of s flat lanes, in lane order."""
-    return tuple(p for p in range(len(heights) - s + 1) if not any(heights[p:p + s]))
-
-
-def _anchor_sets(free: tuple, s: int) -> list:
-    """Subsets of ``free`` with anchors at least s apart, by size then positions."""
-    sets = [()]
-    level = [(p,) for p in free]
-    while level:
-        sets += level
-        # extending each set of a sorted level in anchor order keeps the
-        # next level sorted
-        level = [ps + (p,) for ps in level for p in free if p >= ps[-1] + s]
-    return sets
-
-
-def _advance(heights: tuple, s: int, sets: list) -> list:
-    """(next front, squares anchored) for each anchor set, in order.
-
-    Anchored lanes are flat, so after the row advance they read s - 1 and
-    every other lane reads its height less one (never below zero).
-    """
-    base = tuple(x - 1 if x else 0 for x in heights)
-    fill = (s - 1,) * s
-    out = []
-    for ps in sets:
-        nxt = base
-        for p in ps:
-            nxt = nxt[:p] + fill + nxt[p + s:]
-        out.append((nxt, len(ps)))
-    return out
+        super().__init__(
+            f"front search needs at least {count} advance classes, cap is {cap}"
+        )
 
 
 def transitions(heights: tuple, s: int) -> list:
@@ -97,9 +77,51 @@ def transitions(heights: tuple, s: int) -> list:
 
     Returns (next front, squares anchored) pairs, ordered by square count
     and then by anchor positions.  Anchors are left edges of runs of s
-    flat lanes; two anchors must be at least s lanes apart.
+    flat lanes; two anchors must be at least s lanes apart.  Anchored
+    lanes are flat, so after the row advance they read s - 1 and every
+    other lane reads its height less one (never below zero).
     """
-    return _advance(heights, s, _anchor_sets(_free_anchors(heights, s), s))
+    free = []
+    run = 0  # flat lanes ending at lane i
+    for i, x in enumerate(heights):
+        run = 0 if x else run + 1
+        if run >= s:
+            free.append(i - s + 1)
+    base = tuple(x - 1 if x else 0 for x in heights)
+    fill = (s - 1,) * s
+    out = [(base, 0)]
+    lasts = [-s]  # the last anchor of each set in out; none in the empty set
+    # each set is one splice into the front of the set less its last
+    # anchor; the loop also visits the sets it appends, and extending them
+    # in order keeps out ordered by square count and then by anchors
+    for (nxt, k), last in zip(out, lasts):
+        for p in free:
+            if p >= last + s:
+                out.append((nxt[:p] + fill + nxt[p + s:], k + 1))
+                lasts.append(p)
+    return out
+
+
+def _advance_class(front: tuple, s: int) -> tuple:
+    """The mirror-canonical form of ``front`` with every maximal run of
+    fewer than s flat lanes raised to height 1.
+
+    No square fits in such a run, and its lanes read 0 after the advance
+    either way, so a front and its raised form have the same transitions.
+    """
+    raised = list(front)
+    run = 0  # flat lanes ending before lane i
+    for i, x in enumerate(front):
+        if x:
+            if 0 < run < s:
+                raised[i - run:i] = (1,) * run
+            run = 0
+        else:
+            run += 1
+    if 0 < run < s:
+        raised[len(front) - run:] = (1,) * run
+    raised = tuple(raised)
+    return min(raised, raised[::-1])
 
 
 class TransferGraph:
@@ -132,46 +154,40 @@ class TransferGraph:
 def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGraph:
     """Lumped transfer graph of the fronts reachable from the flat front.
 
-    The canonical fronts are enumerated breadth-first, and ``cap`` bounds
-    how many; the returned graph is their quotient by the coarsest exact
-    lumping.
+    The advance classes are enumerated breadth-first, each expanded once
+    from the first front met in it, and ``cap`` bounds how many; the
+    returned graph is their quotient by the coarsest exact lumping.
     """
     if s < 1 or n < 1:
         raise ValueError("square size and width must be positive")
     if cap < 1:
         raise ValueError("state cap must be positive")
     start = (0,) * n
-    states = [start]
-    index = {start: 0}
-    edges = []  # per front, (dst, k) -> multiplicity
-    anchor_sets: dict = {}  # free anchor positions -> their anchor sets
-    pos = 0
-    while pos < len(states):
+    if s == 1:
+        # every lane is always flat and every advance returns to the flat
+        # front, so the 2^n placement sets aggregate to binomials
+        row = tuple((0, k, comb(n, k)) for k in range(n + 1))
+        return TransferGraph(s, n, (start,), (row,))
+    states = [start]  # the first front met of each advance class
+    index = {_advance_class(start, s): 0}  # advance class -> state
+    seen: dict = {}  # next front as transitions returns it -> state
+    edges = []  # per state, (dst, k) -> multiplicity
+    for h in states:  # states grows as classes are met: a breadth-first walk
         agg: dict = {}
-        if s == 1:
-            # every lane is always flat and every advance returns to the
-            # flat front, so the 2^n placement sets aggregate to binomials
-            for k in range(n + 1):
-                agg[(0, k)] = comb(n, k)
-        else:
-            h = states[pos]
-            free = _free_anchors(h, s)
-            sets = anchor_sets.get(free)
-            if sets is None:
-                sets = anchor_sets[free] = _anchor_sets(free, s)
-            for nxt, k in _advance(h, s, sets):
-                nxt = min(nxt, nxt[::-1])
-                j = index.get(nxt)
+        for nxt, k in transitions(h, s):
+            j = seen.get(nxt)
+            if j is None:
+                cls = _advance_class(nxt, s)
+                j = index.get(cls)
                 if j is None:
                     if len(states) >= cap:
                         raise StateCapExceeded(len(states) + 1, cap)
-                    j = len(states)
-                    index[nxt] = j
-                    states.append(nxt)
-                key = (j, k)
-                agg[key] = agg.get(key, 0) + 1
+                    j = index[cls] = len(states)
+                    states.append(min(nxt, nxt[::-1]))
+                seen[nxt] = seen[nxt[::-1]] = j
+            key = (j, k)
+            agg[key] = agg.get(key, 0) + 1
         edges.append(agg)
-        pos += 1
     return TransferGraph(s, n, *_lump(states, edges, n // s + 1))
 
 

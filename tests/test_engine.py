@@ -70,18 +70,36 @@ def _even_run_vectors(n):
     return len(vectors)
 
 
-def _mirror_fronts(s, n):
-    """Fronts reachable from the flat front, counted up to reversal."""
+def _reachable(s, n):
+    """Every front reachable from the flat front, mirror images included."""
     start = (0,) * n
     seen = {start}
     todo = [start]
     while todo:
         for nxt, _ in transitions(todo.pop(), s):
-            nxt = min(nxt, nxt[::-1])
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    return len(seen)
+    return seen
+
+
+def _mirror_fronts(s, n):
+    """Fronts reachable from the flat front, counted up to reversal."""
+    return len({min(h, h[::-1]) for h in _reachable(s, n)})
+
+
+def _raised(h, s):
+    """``h`` with every maximal run of fewer than s zeros set to ones."""
+    out = []
+    for x, run in groupby(h):
+        width = len(list(run))
+        out += [1 if x == 0 and width < s else x] * width
+    return tuple(out)
+
+
+def _advance_classes(s, n):
+    """Reachable fronts, counted up to reversal of their raised forms."""
+    return len({min(r, r[::-1]) for r in (_raised(h, s) for h in _reachable(s, n))})
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -90,6 +108,21 @@ def test_width_two_state_count_is_even_run_count(n):
     assert fronts == _even_run_vectors(n)
     # the lumped graph has a block of one or more of those fronts per state
     assert enumerate_states(2, n).dim <= fronts
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_width_two_advance_classes_are_the_quotient(n):
+    assert _advance_classes(2, n) == enumerate_states(2, n).dim
+
+
+@pytest.mark.parametrize("s", range(2, 6))
+def test_raised_front_advances_like_the_front(s):
+    # the search expands one front per advance class, so raising a run too
+    # short for a square must change no advance; the reachable set holds
+    # both mirror images, so this covers the mirror-canonical class form
+    for n in range(2, 10):
+        for h in _reachable(s, n):
+            assert transitions(h, s) == transitions(_raised(h, s), s), (s, h)
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=9))
