@@ -169,8 +169,10 @@ def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGr
         row = tuple((0, k, comb(n, k)) for k in range(n + 1))
         return TransferGraph(s, n, (start,), (row,))
     states = [start]  # the first front met of each advance class
-    index = {_advance_class(start, s): 0}  # advance class -> state
-    seen: dict = {}  # next front as transitions returns it -> state
+    # advance class, or next front as transitions returns it, -> state.
+    # The two kinds of key agree: _advance_class is idempotent, so a front
+    # equal to a class form lies in that class, which is its state.
+    seen = {_advance_class(start, s): 0}
     edges = []  # per state, (dst, k) -> multiplicity
     for h in states:  # states grows as classes are met: a breadth-first walk
         agg: dict = {}
@@ -178,11 +180,11 @@ def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGr
             j = seen.get(nxt)
             if j is None:
                 cls = _advance_class(nxt, s)
-                j = index.get(cls)
+                j = seen.get(cls)
                 if j is None:
                     if len(states) >= cap:
                         raise StateCapExceeded(len(states) + 1, cap)
-                    j = index[cls] = len(states)
+                    j = seen[cls] = len(states)
                     states.append(min(nxt, nxt[::-1]))
                 seen[nxt] = seen[nxt[::-1]] = j
             key = (j, k)

@@ -11,12 +11,13 @@ function, and det(I - M) is a factor of the unlumped one.
 
 The solve is one-step fraction-free (Bareiss) elimination over Z[z] with
 t evaluated at 2^B (Kronecker substitution): each entry of I - M becomes
-a term map in z alone whose coefficients hold its t-polynomials in B-bit
-slots, so the t-direction of every product runs inside one big-int
-multiply.  Every division performed is exact, so no rational-function or
-gcd machinery is needed, and the head component drops out of the final
-surviving equation as a numerator/denominator pair, whose coefficients
-are split back into their t-slots.  The result is exact:
+a map from z exponent to a coefficient that holds its t-polynomial in
+B-bit slots, so the t-direction of every product runs inside one big-int
+multiply.  Every division is exact, so no rational-function or gcd
+machinery is needed; ``_exact_div`` does them by univariate greedy
+division.  The head component drops out of the final surviving equation
+as a numerator/denominator pair, split back into t-slots by
+``_unpack_t``.  The result is exact:
 
 * t -> 2^B is a ring map from Z[z, t] onto Z[z], an integral domain, and
   Bareiss uses only ring operations and exact divisions by pivots that
@@ -55,7 +56,6 @@ from .poly import (
     PolyT,
     RatFun,
     _cross_terms,
-    _exact_div_terms,
     _pack,
     _parse_terms,
     _render_terms,
@@ -89,14 +89,13 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
     rhs = dim  # extra column index for the right-hand side e0
     bits = _slot_bits(edges)
 
-    # row i of I - M at t = 2^bits, a term map over z alone; every entry of
-    # M carries a factor z, so the diagonal's constant 1 never cancels
-    z1 = _pack(1, 0)
+    # row i of I - M at t = 2^bits, each entry a map z exponent -> coefficient;
+    # every entry of M carries a factor z, so the diagonal's 1 never cancels
     rows: dict = {i: {i: {0: 1}} for i in range(dim)}
     for src, lst in enumerate(edges):
         for dst, k, mult in lst:
             terms = rows[dst].setdefault(src, {})
-            terms[z1] = terms.get(z1, 0) - (mult << k * bits)
+            terms[1] = terms.get(1, 0) - (mult << k * bits)
     rows[0][rhs] = {0: 1}
 
     pivots = [{0: 1}]
@@ -111,7 +110,7 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
         row = rows[i]
         scale, div = pivots[target], pivots[g]
         for j, val in row.items():
-            row[j] = _exact_div_terms(_cross_terms(val, scale, {}, {}), div)
+            row[j] = _exact_div(_cross_terms(val, scale, {}, {}), div)
         gens[i] = target
 
     for step in range(1, dim):
@@ -148,7 +147,7 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
                     continue
                 num = _cross_terms(piv, arow.get(j, {}), vic, prow.get(j, {}))
                 if num:
-                    newrow[j] = _exact_div_terms(num, div)
+                    newrow[j] = _exact_div(num, div)
             rows[i] = newrow
             gens[i] = step
         pivots.append(piv)
@@ -164,6 +163,33 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
     return RatFun(
         BiPoly(_unpack_t(row.get(rhs, {}), bits)), BiPoly(_unpack_t(den, bits))
     )
+
+
+def _exact_div(num: dict, den: dict) -> dict:
+    """Quotient num/den of two z-term maps by greedy division, which
+    Bareiss makes exact; an inexact step is a bug and raises ValueError."""
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    dlead = max(den)
+    dcoef = den[dlead]
+    rest = [(k, c) for k, c in den.items() if k != dlead]
+    q: dict = {}
+    r = dict(num)
+    while r:
+        rlead = max(r)
+        kq = rlead - dlead
+        qc, rem = divmod(r.pop(rlead), dcoef)
+        if kq < 0 or rem:
+            raise ValueError("inexact polynomial division")
+        q[kq] = qc
+        for k, c in rest:
+            kk = k + kq
+            v = r.get(kk, 0) - c * qc
+            if v:
+                r[kk] = v
+            elif kk in r:
+                del r[kk]
+    return q
 
 
 def _slot_bits(edges) -> int:
@@ -187,31 +213,23 @@ def _slot_bits(edges) -> int:
     return ((h2 - 1).bit_length() + 1) // 2 + 2
 
 
-def _split_slots(value: int, bits: int) -> dict:
-    """t-exponent -> coefficient of a value packed at t = 2^bits.
+def _unpack_t(terms: dict, bits: int) -> dict:
+    """Packed (z, t) term map of a z-term map evaluated at t = 2^bits.
 
-    Each slot holds a coefficient c with -2^(bits-1) <= c < 2^(bits-1).
+    The slot of t^k holds a coefficient c with -2^(bits-1) <= c < 2^(bits-1).
     """
     out = {}
     half = 1 << (bits - 1)
     mask = (1 << bits) - 1
-    k = 0
-    while value:
-        c = ((value + half) & mask) - half
-        if c:
-            out[k] = c
-        value = (value - c) >> bits
-        k += 1
+    for z, value in terms.items():
+        k = 0
+        while value:
+            c = ((value + half) & mask) - half
+            if c:
+                out[_pack(z, k)] = c
+            value = (value - c) >> bits
+            k += 1
     return out
-
-
-def _unpack_t(terms: dict, bits: int) -> dict:
-    """Packed (z, t) term map of a z-term map evaluated at t = 2^bits."""
-    return {
-        zkey | k: c
-        for zkey, v in terms.items()
-        for k, c in _split_slots(v, bits).items()
-    }
 
 
 def series_expand(ratio: RatFun, z_order: int) -> list:

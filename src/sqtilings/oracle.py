@@ -49,6 +49,9 @@ def _row_ends(s: int, rows: int, cols: int, size: int):
     states = {0: 1}  # occupancy of cells p, p+1, ... -> packed t-polynomial
     yield 1
     for r in range(rows):
+        # only a pruning guard: a square that overhangs the last row never
+        # leaves mask 0.  Without it the oracle passes of `verify --s-max 6
+        # --n-max 14 --m-max 14 --oracle-cap 120` ran 7-10 % slower (2-core VM).
         fits_row = r + s <= rows
         for c in range(cols):
             fits = fits_row and c + s <= cols

@@ -13,9 +13,9 @@ small types cover everything the counting code needs:
 
 A BiPoly stores its terms as ``{(z_exp << 32) | t_exp: coeff}``.  Packing
 both exponents into one int makes monomial multiplication a plain integer
-addition of keys.  The elimination in :mod:`sqtilings.gfun` runs the same
-term-map helpers on keys with t exponent 0, because it carries t inside
-the coefficients.
+addition of keys.  The elimination in :mod:`sqtilings.gfun` carries t
+inside its coefficients and keys its term maps by the z exponent alone;
+it shares only the product helper ``_cross_terms`` with this module.
 
 The text format used by the CLI and by fixture files writes terms in
 ascending graded-lexicographic order (total degree, then z power, then t
@@ -40,8 +40,9 @@ def _pack(z_exp: int, t_exp: int) -> int:
 
 # ---------------------------------------------------------------------------
 # raw term-map helpers; a term map is dict[packed_key, nonzero int].
-# _cross_terms and _exact_div_terms are the only product helpers; a plain
-# product a*b is _cross_terms(a, b, {}, {}).
+# _cross_terms is the one product helper; a plain product a*b is
+# _cross_terms(a, b, {}, {}).  It only adds keys, so gfun's elimination
+# runs it on maps keyed by the z exponent alone.
 
 
 def _cross_terms(p: dict, x: dict, a: dict, b: dict) -> dict:
@@ -67,47 +68,6 @@ def _cross_terms(p: dict, x: dict, a: dict, b: dict) -> dict:
                 elif k in out:
                     del out[k]
     return out
-
-
-def _exact_div_terms(num: dict, den: dict) -> dict:
-    """Quotient num/den, which must divide exactly; raises ValueError if not.
-
-    Greedy division by the leading term under the packed-key order (lex in
-    z then t), which is a valid monomial order because keys add without
-    carries.  A one-term divisor runs the same loop with nothing to
-    subtract, so each step divides one term under the same checks.
-    Exactness failures can only come from internal bugs, so the error is
-    loud rather than recoverable.
-    """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return {}
-    dlead = max(den)
-    dcoef = den[dlead]
-    dz, dt = dlead >> _SHIFT, dlead & _TMASK
-    q: dict = {}
-    rest = [(k, c) for k, c in den.items() if k != dlead]
-    r = dict(num)
-    while r:
-        rlead = max(r)
-        rz, rt = rlead >> _SHIFT, rlead & _TMASK
-        if rz < dz or rt < dt:
-            raise ValueError("inexact polynomial division")
-        qc, rem = divmod(r[rlead], dcoef)
-        if rem:
-            raise ValueError("inexact polynomial division")
-        kq = rlead - dlead
-        q[kq] = qc
-        del r[rlead]
-        for k, c in rest:
-            kk = k + kq
-            v = r.get(kk, 0) - c * qc
-            if v:
-                r[kk] = v
-            elif kk in r:
-                del r[kk]
-    return q
 
 
 def _content(a: dict) -> int:

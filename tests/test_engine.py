@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqtilings.engine import StateCapExceeded, enumerate_states, transitions
+from sqtilings.engine import (
+    DEFAULT_DIM_CAP,
+    DEFAULT_STATE_CAP,
+    StateCapExceeded,
+    _advance_class,
+    enumerate_states,
+    transitions,
+)
 
 
 def test_flat_front_advances_width_two():
@@ -125,6 +132,16 @@ def test_raised_front_advances_like_the_front(s):
             assert transitions(h, s) == transitions(_raised(h, s), s), (s, h)
 
 
+@pytest.mark.parametrize("s", range(1, 6))
+def test_advance_class_is_idempotent(s):
+    # the front search keys fronts and class forms in one dict, which is
+    # sound only if a front equal to a class form lies in that class
+    for n in range(1, 10):
+        for h in _reachable(s, n):
+            cls = _advance_class(h, s)
+            assert _advance_class(cls, s) == cls, (s, h)
+
+
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=9))
 def test_graph_invariants(s, n):
     g = enumerate_states(s, n)
@@ -188,6 +205,12 @@ def test_heights_decay_by_one_per_row():
                 expected = tuple(x - 1 if x else 0 for x in g.states[src])
                 assert nxt == expected
                 break
+
+
+def test_cap_defaults_are_the_documented_ones():
+    # the README quotes both
+    assert DEFAULT_STATE_CAP == 100_000
+    assert DEFAULT_DIM_CAP == 400
 
 
 def test_state_cap():

@@ -9,14 +9,15 @@ from sqtilings import gfun
 from sqtilings.engine import enumerate_states
 from sqtilings.gfun import (
     DimensionCapExceeded,
+    _exact_div,
     _slot_bits,
-    _split_slots,
+    _unpack_t,
     emit_cas_script,
     generating_function,
     parse_cas_script,
     series_expand,
 )
-from sqtilings.poly import _SHIFT, _TMASK, RatFun
+from sqtilings.poly import _SHIFT, _TMASK, RatFun, _cross_terms, _pack
 from sqtilings.series import count_table
 
 
@@ -119,6 +120,15 @@ def test_slot_bits_leave_two_spare_bits(gf_of):
             assert _slot_bits(edges) >= _widest(gf_of(s, n)) + 2, (s, n)
 
 
+@pytest.mark.parametrize(
+    "s,n,bits",
+    [(2, 9, 36), (3, 10, 38), (4, 12, 51), (6, 14, 38), (2, 10, 60), (4, 13, 80)],
+)
+def test_slot_bits_are_pinned(s, n, bits):
+    # a wider slot stays exact but costs time in every product
+    assert _slot_bits(enumerate_states(s, n).edges) == bits
+
+
 @st.composite
 def _slotted(draw):
     bits = draw(st.integers(1, 70))
@@ -126,14 +136,52 @@ def _slotted(draw):
     return bits, draw(st.lists(st.integers(-half, half - 1), max_size=12))
 
 
-@given(_slotted())
-@example((8, [0, 5, 0, -128]))  # zero slots and a negative top slot
-@example((3, [-1]))
-@example((5, []))
-def test_signed_slots_round_trip(case):
+@given(_slotted(), st.integers(0, 9))
+@example((8, [0, 5, 0, -128]), 0)  # zero slots and a negative top slot
+@example((3, [-1]), 2)
+@example((5, []), 1)
+def test_signed_slots_round_trip(case, z):
     bits, coeffs = case
     value = sum(c << k * bits for k, c in enumerate(coeffs))
-    assert _split_slots(value, bits) == {k: c for k, c in enumerate(coeffs) if c}
+    assert _unpack_t({z: value}, bits) == {
+        _pack(z, k): c for k, c in enumerate(coeffs) if c
+    }
+
+
+# the elimination's term maps: z exponent -> coefficient, which holds the
+# t-polynomial packed into slots and so may be any nonzero int
+z_polys = st.dictionaries(
+    st.integers(0, 8), st.integers(-(1 << 70), 1 << 70).filter(bool), max_size=6
+)
+
+
+@given(z_polys, z_polys.filter(bool))
+def test_exact_division_inverts_multiplication(a, b):
+    assert _exact_div(_cross_terms(a, b, {}, {}), b) == a
+
+
+def test_one_term_exact_division():
+    # a one-term divisor runs the greedy loop with nothing to subtract
+    num = {3: 6, 2: -4, 1: 2}  # 6*z^3 - 4*z^2 + 2*z
+    for den, quotient in [
+        ({0: 2}, {3: 3, 2: -2, 1: 1}),
+        ({1: 1}, {2: 6, 1: -4, 0: 2}),
+        ({1: -2}, {2: -3, 1: 2, 0: -1}),
+    ]:
+        assert _exact_div(num, den) == quotient
+        assert _exact_div({}, den) == {}
+
+
+def test_inexact_division_raises():
+    with pytest.raises(ValueError):
+        _exact_div({2: 1, 0: 1}, {1: 1, 0: 1})  # z^2 + 1 by z + 1
+    with pytest.raises(ZeroDivisionError):
+        _exact_div({2: 1, 0: 1}, {})
+    # one-term divisors: the coefficient must divide and no exponent may
+    # go negative
+    for num, den in [({0: 3}, {0: 2}), ({0: 1}, {1: 1}), ({1: 4, 0: 2}, {1: 2})]:
+        with pytest.raises(ValueError):
+            _exact_div(num, den)
 
 
 # SHA-256 of generating_function(...).render() for the gf-swell systems, as

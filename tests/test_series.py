@@ -9,6 +9,7 @@ from sqtilings.engine import enumerate_states, transitions
 from sqtilings.series import (
     CountTable,
     _flat_entry_sweep,
+    _packed_sweep,
     count_table,
     count_tables,
     paper_line,
@@ -112,6 +113,32 @@ def test_packed_sweep_matches_dict_sweep(s, n, m_max):
     assert len(rows) == m_max + 1
     assert all(c > 0 for row in rows for c in row.values())
     assert rows == _dict_sweep(enumerate_states(s, n).edges, m_max)
+
+
+@pytest.mark.parametrize(
+    "s,n,m_max,widths",
+    [(2, 8, 60, [1, 7, 13, 19, 24]), (3, 9, 80, [1, 4, 8, 12, 16, 19])],
+)
+def test_sweep_slots_are_the_t1_bound(s, n, m_max, widths):
+    # each block of 16 steps packs its slots in the bytes of the largest
+    # t = 1 value any state reaches in it, and a slot never narrows
+    edges = enumerate_states(s, n).edges
+    ones = [1] + [0] * (len(edges) - 1)
+    peaks = []  # per step, bytes of the largest t = 1 value
+    for _ in range(m_max):
+        nxt = [0] * len(edges)
+        for src, lst in enumerate(edges):
+            for dst, _, mult in lst:
+                nxt[dst] += ones[src] * mult
+        ones = nxt
+        peaks.append(-(-max(ones).bit_length() // 8))
+    expected = [1]
+    for start in range(0, m_max, 16):
+        block = peaks[start:start + 16]
+        expected += [max(expected[-1], *block)] * len(block)
+    got = [width for _, width in _packed_sweep(s, n, m_max, 1000)]
+    assert got == expected
+    assert sorted(set(got)) == widths
 
 
 def test_long_boards_match_closed_forms():
