@@ -232,6 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a count can pass the 4300-digit limit that Python 3.10.7 and later
+    # put on int-to-str conversion, and every table format prints it whole
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,9 +14,11 @@ t evaluated at 2^B (Kronecker substitution): each entry of I - M becomes
 a map from z exponent to a coefficient that holds its t-polynomial in
 B-bit slots, so the t-direction of every product runs inside one big-int
 multiply.  Every division is exact, so no rational-function or gcd
-machinery is needed; ``_exact_div`` does them by univariate greedy
-division.  The head component drops out of the final surviving equation
-as a numerator/denominator pair, split back into t-slots by
+machinery is needed.  This module holds both kernels the loop runs on
+those z-term maps: ``_cross_terms`` forms p*x - a*b in one pass, and
+``_exact_div`` divides by univariate greedy division.  The head
+component drops out of the final surviving equation as a
+numerator/denominator pair, split back into (z, t) terms by
 ``_unpack_t``.  The result is exact:
 
 * t -> 2^B is a ring map from Z[z, t] onto Z[z], an integral domain, and
@@ -51,17 +53,7 @@ from __future__ import annotations
 import re
 
 from .engine import DEFAULT_DIM_CAP, CapExceeded
-from .poly import (
-    BiPoly,
-    PolyT,
-    RatFun,
-    _cross_terms,
-    _pack,
-    _parse_terms,
-    _render_terms,
-    _TMASK,
-    _SHIFT,
-)
+from .poly import BiPoly, PolyT, RatFun
 
 
 class DimensionCapExceeded(CapExceeded):
@@ -165,6 +157,24 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
     )
 
 
+def _cross_terms(p: dict, x: dict, a: dict, b: dict) -> dict:
+    """p*x - a*b of z-term maps in one accumulation pass; a plain product
+    p*x is _cross_terms(p, x, {}, {})."""
+    out: dict = {}
+    get = out.get
+    for f, g, sign in ((p, x, 1), (a, b, -1)):
+        for kf, cf in f.items():
+            cf *= sign
+            for kg, cg in g.items():
+                k = kf + kg
+                v = get(k, 0) + cf * cg
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+    return out
+
+
 def _exact_div(num: dict, den: dict) -> dict:
     """Quotient num/den of two z-term maps by greedy division, which
     Bareiss makes exact; an inexact step is a bug and raises ValueError."""
@@ -214,7 +224,7 @@ def _slot_bits(edges) -> int:
 
 
 def _unpack_t(terms: dict, bits: int) -> dict:
-    """Packed (z, t) term map of a z-term map evaluated at t = 2^bits.
+    """(z, t) term map of a z-term map evaluated at t = 2^bits.
 
     The slot of t^k holds a coefficient c with -2^(bits-1) <= c < 2^(bits-1).
     """
@@ -226,7 +236,7 @@ def _unpack_t(terms: dict, bits: int) -> dict:
         while value:
             c = ((value + half) & mask) - half
             if c:
-                out[_pack(z, k)] = c
+                out[(z, k)] = c
             value = (value - c) >> bits
             k += 1
     return out
@@ -242,13 +252,13 @@ def series_expand(ratio: RatFun, z_order: int) -> list:
     if z_order < 0:
         raise ValueError("z_order must be >= 0")
     den_slices: dict = {}
-    for key, c in ratio.den.terms.items():
-        den_slices.setdefault(key >> _SHIFT, {})[key & _TMASK] = c
+    for (z, t), c in ratio.den.terms.items():
+        den_slices.setdefault(z, {})[t] = c
     if den_slices.get(0) != {0: 1}:
         raise ValueError("denominator z^0 slice must be exactly 1")
     num_slices: dict = {}
-    for key, c in ratio.num.terms.items():
-        num_slices.setdefault(key >> _SHIFT, {})[key & _TMASK] = c
+    for (z, t), c in ratio.num.terms.items():
+        num_slices.setdefault(z, {})[t] = c
     max_lag = max(den_slices)
     out = []
     for j in range(z_order + 1):
@@ -286,13 +296,12 @@ def emit_cas_script(edges) -> str:
     for src, lst in enumerate(edges):
         for dst, k, mult in lst:
             terms = by_row[dst].setdefault(src, {})
-            key = _pack(1, k)
-            terms[key] = terms.get(key, 0) + mult
+            terms[1, k] = terms.get((1, k), 0) + mult
     lines = []
     for i in range(dim):
         parts = ["1"] if i == 0 else []
         for j, terms in sorted(by_row[i].items()):
-            text = _render_terms(terms)
+            text = BiPoly(terms).render()
             parts.append(f"({text})*x{j}" if len(terms) > 1 else f"{text}*x{j}")
         body = " + ".join(parts) if parts else "0"
         lines.append(f"eq_{i} := x{i} = {body};")
@@ -329,12 +338,15 @@ def parse_cas_script(text: str) -> tuple:
         for term in _split_sum(body):
             tm = _TERM_RE.match(term)
             if tm is None:
-                col, terms = None, _parse_terms(term)
+                col, terms = None, BiPoly.parse(term).terms
             else:
                 par, bare, j = tm.groups()
                 coeff_text = (par if par is not None else bare).rstrip("*")
                 col = int(j)
-                terms = {0: 1} if coeff_text in ("", "+") else _parse_terms(coeff_text)
+                terms = (
+                    {(0, 0): 1} if coeff_text in ("", "+")
+                    else BiPoly.parse(coeff_text).terms
+                )
             acc = sums.setdefault((eq_i, col), {})
             for key, c in terms.items():
                 acc[key] = acc.get(key, 0) + c
@@ -353,14 +365,14 @@ def parse_cas_script(text: str) -> tuple:
             continue
         if c >= dim:
             raise ValueError("equation references an unknown outside the system")
-        for key, mult in acc.items():
-            if key >> _SHIFT != 1 or mult < 0:
+        for (z, k), mult in acc.items():
+            if z != 1 or mult < 0:
                 raise ValueError(
                     f"coefficient of x{c} in eq_{r} is not a sum of positive "
                     "multiples of z*t^k"
                 )
-            edges[c].append((r, key & _TMASK, mult))
-    if consts != {0: {0: 1}}:
+            edges[c].append((r, k, mult))
+    if consts != {0: {(0, 0): 1}}:
         raise ValueError("constant terms do not describe a head-vector system")
     return tuple(tuple(sorted(lst)) for lst in edges)
 

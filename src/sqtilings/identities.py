@@ -48,16 +48,9 @@ class CheckResult(
 class IdentityReport:
     """The named list of checks one check function ran."""
 
-    def __init__(self, name: str, checks=None):
+    def __init__(self, name: str):
         self.name = name
-        self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.checks) == (other.name, other.checks)
-
-    __hash__ = None
+        self.checks = []
 
     def __repr__(self):
         return f"IdentityReport(name={self.name!r}, checks={self.checks!r})"
@@ -297,8 +290,6 @@ def check_two_s_square(
 
 
 def check_conjectures(
-    near_square_s=(2, 3, 4),
-    offset_square_s=(3, 4),
     tables=count_tables,
     oracle_cell_cap: int = 0,
 ) -> IdentityReport:
@@ -307,23 +298,22 @@ def check_conjectures(
     For 2s x (2s+1), s >= 2, the counts appear to be
     (1, (s+1)(s+2), 4s^2+10s+1, 16s+2, 9); for 2s x (2s+2), s >= 3,
     (1, (s+1)(s+3), 7s^2+18s+3, 40s+8, 36).  Unproved: these checks
-    confirm instances, and a failing instance would refute the pattern.
+    confirm the instances s = 2, 3, 4 and s = 3, 4, and a failing
+    instance would refute the pattern.
     When ``oracle_cell_cap`` is positive, each board with at most that
     many cells is also recounted as the last table of one
     :func:`brute_force_tables` pass: m = 2s+1 or 2s+2 rows of width 2s.
     """
     report = IdentityReport("conjectured near-square count vectors")
     patterns = (
-        # (identity, sizes, smallest s, columns past 2s, conjectured vector)
-        ("near_square_counts", near_square_s, 2, 1,
+        # (identity, sizes, columns past 2s, conjectured vector)
+        ("near_square_counts", (2, 3, 4), 1,
          lambda s: (1, (s + 1) * (s + 2), 4 * s * s + 10 * s + 1, 16 * s + 2, 9)),
-        ("offset_square_counts", offset_square_s, 3, 2,
+        ("offset_square_counts", (3, 4), 2,
          lambda s: (1, (s + 1) * (s + 3), 7 * s * s + 18 * s + 3, 40 * s + 8, 36)),
     )
-    for identity, sizes, s_min, extra, vector in patterns:
+    for identity, sizes, extra, vector in patterns:
         for s in sizes:
-            if s < s_min:
-                continue
             n, m = 2 * s, 2 * s + extra
             actual = tables(s, n, m)[m].counts
             report.add(identity, {"s": s, "n": n, "m": m}, vector(s), actual)

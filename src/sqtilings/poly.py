@@ -11,11 +11,10 @@ small types cover everything the counting code needs:
 * ``RatFun`` -- a BiPoly numerator/denominator pair kept in a canonical
   form: shared integer content removed, denominator constant term +1.
 
-A BiPoly stores its terms as ``{(z_exp << 32) | t_exp: coeff}``.  Packing
-both exponents into one int makes monomial multiplication a plain integer
-addition of keys.  The elimination in :mod:`sqtilings.gfun` carries t
-inside its coefficients and keys its term maps by the z exponent alone;
-it shares only the product helper ``_cross_terms`` with this module.
+A BiPoly stores its terms as ``{(z_exp, t_exp): coeff}``, exponent pairs
+mapped to nonzero ints.  :mod:`sqtilings.gfun` uses only the three public
+types: its elimination keys its own term maps by the z exponent alone,
+with t carried inside the coefficients.
 
 The text format used by the CLI and by fixture files writes terms in
 ascending graded-lexicographic order (total degree, then z power, then t
@@ -30,44 +29,8 @@ from __future__ import annotations
 import re
 from math import gcd
 
-_SHIFT = 32
-_TMASK = (1 << _SHIFT) - 1
-
-
-def _pack(z_exp: int, t_exp: int) -> int:
-    return (z_exp << _SHIFT) | t_exp
-
-
 # ---------------------------------------------------------------------------
-# raw term-map helpers; a term map is dict[packed_key, nonzero int].
-# _cross_terms is the one product helper; a plain product a*b is
-# _cross_terms(a, b, {}, {}).  It only adds keys, so gfun's elimination
-# runs it on maps keyed by the z exponent alone.
-
-
-def _cross_terms(p: dict, x: dict, a: dict, b: dict) -> dict:
-    """p*x - a*b in one accumulation pass."""
-    out: dict = {}
-    get = out.get
-    if x:
-        for ka, ca in p.items():
-            for kb, cb in x.items():
-                k = ka + kb
-                v = get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-    if a and b:
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                v = get(k, 0) - ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-    return out
+# raw term-map helpers; a term map is dict[(z_exp, t_exp), nonzero int]
 
 
 def _content(a: dict) -> int:
@@ -81,9 +44,9 @@ def _content(a: dict) -> int:
 
 def _subs_t_terms(a: dict, value: int) -> dict:
     out: dict = {}
-    for k, c in a.items():
-        zk = k & ~_TMASK
-        v = out.get(zk, 0) + c * value ** (k & _TMASK)
+    for (z, t), c in a.items():
+        zk = (z, 0)
+        v = out.get(zk, 0) + c * value**t
         if v:
             out[zk] = v
         elif zk in out:
@@ -122,10 +85,7 @@ def _parse_terms(text: str) -> dict:
                 z_exp += int(exp) if exp else 1
             else:
                 t_exp += int(exp) if exp else 1
-        if t_exp > _TMASK:
-            # the packed key holds t in its low bits; a carry would alias into z
-            raise ValueError(f"t exponent {t_exp} too large in {text!r}")
-        k = _pack(z_exp, t_exp)
+        k = (z_exp, t_exp)
         v = out.get(k, 0) + coeff
         if v:
             out[k] = v
@@ -148,10 +108,7 @@ def _monomial_text(coeff: int, z_exp: int, t_exp: int) -> str:
 def _render_terms(terms: dict) -> str:
     if not terms:
         return "0"
-    order = sorted(
-        ((ze + te, ze, te, c) for (ze, te), c in
-         (((k >> _SHIFT, k & _TMASK), c) for k, c in terms.items()))
-    )
+    order = sorted((ze + te, ze, te, c) for (ze, te), c in terms.items())
     parts = []
     for pos, (_, ze, te, c) in enumerate(order):
         mono = _monomial_text(c, ze, te)
@@ -171,24 +128,13 @@ class BiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        # terms maps packed exponent keys to nonzero coefficients; the dict
+        # terms maps (z_exp, t_exp) pairs to nonzero coefficients; the dict
         # is owned by the instance and must not be mutated afterwards
         self.terms = terms if terms else {}
 
     @classmethod
-    def term(cls, coeff: int, z: int = 0, t: int = 0) -> "BiPoly":
-        return cls({_pack(z, t): coeff} if coeff else {})
-
-    @classmethod
     def parse(cls, text: str) -> "BiPoly":
         return cls(_parse_terms(text))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, z: int, t: int) -> int:
-        return self.terms.get(_pack(z, t), 0)
 
     def substitute_t(self, value: int) -> "BiPoly":
         return BiPoly(_subs_t_terms(self.terms, value))
@@ -213,9 +159,6 @@ class PolyT:
     def __init__(self, coeffs: dict | None = None):
         self.coeffs = coeffs if coeffs else {}
 
-    def coeff(self, k: int) -> int:
-        return self.coeffs.get(k, 0)
-
     def as_list(self) -> list:
         """Coefficients c0 .. c_deg, trailing zeros trimmed."""
         return [self.coeffs.get(k, 0) for k in range(max(self.coeffs, default=-1) + 1)]
@@ -226,7 +169,7 @@ class PolyT:
     __hash__ = None
 
     def render(self) -> str:
-        return _render_terms({_pack(0, k): c for k, c in self.coeffs.items()})
+        return _render_terms({(0, k): c for k, c in self.coeffs.items()})
 
     def __repr__(self):
         return f"PolyT({self.render()})"
@@ -245,14 +188,14 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num: BiPoly, den: BiPoly):
-        if den.is_zero:
+        if not den.terms:
             raise ValueError("zero denominator")
         nt, dt = num.terms, den.terms
         g = gcd(_content(nt), _content(dt))
         if g > 1:
             nt = {k: c // g for k, c in nt.items()}
             dt = {k: c // g for k, c in dt.items()}
-        c0 = dt.get(0, 0)
+        c0 = dt.get((0, 0), 0)
         if c0 == 0:
             raise ValueError("denominator constant term is zero")
         if c0 < 0:
@@ -281,15 +224,20 @@ class RatFun:
 
     def substitute_t(self, value: int) -> "RatFun":
         den = self.den.substitute_t(value)
-        if den.is_zero:
+        if not den.terms:
             raise ValueError(f"substituting t={value} degenerates the denominator")
         return RatFun(self.num.substitute_t(value), den)
 
     def equivalent(self, other: "RatFun") -> bool:
         """Equality as rational functions, decided by cross-multiplication."""
-        return not _cross_terms(
-            self.num.terms, other.den.terms, other.num.terms, self.den.terms
-        )
+        diff: dict = {}
+        for sign, a, b in ((1, self.num.terms, other.den.terms),
+                           (-1, other.num.terms, self.den.terms)):
+            for (za, ta), ca in a.items():
+                for (zb, tb), cb in b.items():
+                    k = (za + zb, ta + tb)
+                    diff[k] = diff.get(k, 0) + sign * ca * cb
+        return not any(diff.values())
 
     def __eq__(self, other):
         return (

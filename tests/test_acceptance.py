@@ -156,9 +156,7 @@ def test_acceptance_6_identity_suite():
 
 
 def test_acceptance_7_conjectured_patterns():
-    report = check_conjectures(
-        near_square_s=(2, 3, 4), offset_square_s=(3, 4), oracle_cell_cap=64
-    )
+    report = check_conjectures(oracle_cell_cap=64)
     _verdict(
         "criterion 7: conjectured count vectors hold on 4x5, 6x7, 8x9 and "
         "6x8, 8x10 boards"

@@ -54,6 +54,25 @@ def test_table_json(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["paper", "csv", "json"])
+def test_tables_print_counts_past_the_int_digit_limit(capsys, monkeypatch, fmt):
+    # table --s 1 --n 120 --m 120 sums to 2^14400, about 4335 digits
+    from sqtilings import series
+
+    big = 10**4400 + 7
+    table = series.CountTable(1, 1, 1, (big, 1))
+    monkeypatch.setattr(series, "count_table", lambda *args: table)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        code, out, _ = run(capsys, "table", "--s", "1", "--n", "1", "--m", "1",
+                           "--format", fmt)
+        assert code == 0
+        assert str(big) in out
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

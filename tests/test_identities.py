@@ -86,13 +86,6 @@ def test_conjecture_instances():
     assert {(c.params["n"], c.params["m"]) for c in crosses} == {(4, 5), (6, 7), (6, 8)}
 
 
-def test_conjectures_skip_degenerate_sizes():
-    report = check_conjectures(near_square_s=(1, 2), offset_square_s=(2, 3))
-    sizes = {(c.params["s"], c.identity) for c in report.checks}
-    assert (1, "near_square_counts") not in sizes
-    assert (2, "offset_square_counts") not in sizes
-
-
 def test_failing_check_is_reported():
     report = IdentityReport("demo")
     report.add("always_one", {"s": 2}, 1, 1)

@@ -3,31 +3,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqtilings.gfun import parse_cas_script
-from sqtilings.poly import (
-    BiPoly,
-    PolyT,
-    RatFun,
-    _cross_terms,
-    _pack,
-)
+from sqtilings.poly import BiPoly, PolyT, RatFun
 
 exponents = st.integers(min_value=0, max_value=6)
 coefficients = st.integers(min_value=-9, max_value=9).filter(bool)
 bipolys = st.dictionaries(
     st.tuples(exponents, exponents), coefficients, max_size=6
-).map(lambda terms: BiPoly({_pack(z, t): c for (z, t), c in terms.items()}))
+).map(BiPoly)
 
 
 def test_parse_simple():
     p = BiPoly.parse("1 - z - 2*z^2*t")
-    assert p.terms == {_pack(0, 0): 1, _pack(1, 0): -1, _pack(2, 1): -2}
-    assert (p.coeff(0, 0), p.coeff(1, 0), p.coeff(2, 1)) == (1, -1, -2)
+    assert p.terms == {(0, 0): 1, (1, 0): -1, (2, 1): -2}
 
 
 def test_parse_any_factor_order_and_whitespace():
-    assert BiPoly.parse("-t^2*z^3") == BiPoly.term(-1, z=3, t=2)
-    assert BiPoly.parse("  3 * t * z ") == BiPoly.term(3, z=1, t=1)
-    assert BiPoly.parse("+2*z*2*t") == BiPoly.term(4, z=1, t=1)
+    assert BiPoly.parse("-t^2*z^3") == BiPoly({(3, 2): -1})
+    assert BiPoly.parse("  3 * t * z ") == BiPoly({(1, 1): 3})
+    assert BiPoly.parse("+2*z*2*t") == BiPoly({(1, 1): 4})
 
 
 def test_parse_accumulates_duplicate_monomials():
@@ -35,10 +28,7 @@ def test_parse_accumulates_duplicate_monomials():
 
 
 def test_parse_rejects_garbage():
-    bad_texts = (
-        "", "z +", "q", "z^", "1 -- z", "z**2", "t^4294967296", "t^2*t^4294967295",
-    )
-    for bad in bad_texts:
+    for bad in ("", "z +", "q", "z^", "1 -- z", "z**2"):
         with pytest.raises(ValueError):
             BiPoly.parse(bad)
 
@@ -50,9 +40,9 @@ def test_render_graded_lex_order():
 
 def test_render_zero_and_units():
     assert BiPoly().render() == "0"
-    assert BiPoly.term(1).render() == "1"
-    assert BiPoly.term(-1, t=1).render() == "-t"
-    assert BiPoly.term(1, z=2, t=2).render() == "z^2*t^2"
+    assert BiPoly({(0, 0): 1}).render() == "1"
+    assert BiPoly({(0, 1): -1}).render() == "-t"
+    assert BiPoly({(2, 2): 1}).render() == "z^2*t^2"
 
 
 @given(bipolys)
@@ -60,33 +50,12 @@ def test_render_parse_round_trip(p):
     assert BiPoly.parse(p.render()) == p
 
 
-@given(bipolys, bipolys, bipolys)
-def test_ring_laws(a, b, c):
-    # every ring operation through the elimination kernel p*x - a*b
-    def add(a, b):
-        return _cross_terms(a, {0: 1}, b, {0: -1})
-
-    def mul(a, b):
-        return _cross_terms(a, b, {}, {})
-
-    def neg(a):
-        return _cross_terms({}, {}, a, {0: 1})
-
-    a, b, c = a.terms, b.terms, c.terms
-    assert add(a, b) == add(b, a)
-    assert mul(a, b) == mul(b, a)
-    assert add(add(a, b), c) == add(a, add(b, c))
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-    assert add(a, {}) == a
-    assert mul(a, {0: 1}) == a
-    assert mul(a, {}) == mul({}, a) == {}
-    assert add(a, neg(a)) == {}
-    assert neg(neg(a)) == a
-    assert neg(a) == {k: -v for k, v in a.items()}
-    # the elimination update passes {} for an entry missing from a row
-    assert _cross_terms(a, {}, b, c) == neg(mul(b, c))
-    assert _cross_terms(a, b, c, {}) == mul(a, b)
+def test_exponents_have_no_width_limit():
+    # t exponents past 2^32 - 1 parse, add up and render back
+    assert BiPoly.parse("t^4294967296").render() == "t^4294967296"
+    assert BiPoly.parse("t^2*t^4294967295").render() == "t^4294967297"
+    text = "(1) / (1 - t^4294967296)"
+    assert RatFun.parse(text).render() == text
 
 
 def test_substitute_t():
@@ -98,9 +67,9 @@ def test_substitute_t():
 
 def test_degrees_and_coeff():
     p = BiPoly.parse("1 + 4*z^3*t^2")
-    assert p.coeff(3, 2) == 4
-    assert p.coeff(1, 1) == 0
-    assert p.coeff(0, 0) == 1
+    assert p.terms[3, 2] == 4
+    assert (1, 1) not in p.terms
+    assert p.terms[0, 0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +81,6 @@ def test_polyt_list_round_trip():
     assert p.as_list() == [1, 0, 3]
     assert PolyT().as_list() == []
     assert PolyT({}).as_list() == []
-    assert p.coeff(2) == 3 and p.coeff(7) == 0
 
 
 def test_polyt_render():
@@ -148,9 +116,9 @@ def test_ratfun_normalization_idempotent():
 
 def test_ratfun_rejects_bad_denominators():
     with pytest.raises(ValueError):
-        RatFun(BiPoly.term(1), BiPoly())
+        RatFun(BiPoly.parse("1"), BiPoly())
     with pytest.raises(ValueError):
-        RatFun(BiPoly.term(1), BiPoly.parse("z + z^2"))
+        RatFun(BiPoly.parse("1"), BiPoly.parse("z + z^2"))
     with pytest.raises(ValueError):
         RatFun.parse("1 - z")
 
@@ -183,7 +151,6 @@ def test_ratfun_parse_extra_parens_and_spacing():
         "(1) - (z) / (1)",
         "(1) (1)",
         "() / (1)",
-        "(1) / (1 - t^4294967296)",
     ):
         with pytest.raises(ValueError):
             RatFun.parse(bad)
