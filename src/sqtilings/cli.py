@@ -233,18 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # a count can pass the 4300-digit limit that Python 3.10.7 and later
-    # put on int-to-str conversion, and every table format prints it whole
-    if hasattr(sys, "set_int_max_str_digits"):
+    # put on int-to-str conversion, and every table format prints it whole;
+    # the limit is lifted for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         # open --out before the work starts, as shell redirection does
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
             return args.func(args, out)
     except (CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

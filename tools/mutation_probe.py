@@ -7,10 +7,12 @@ a seeded random sample of all candidates.  Every mutant is written into a
 copy of the tree and the tier-1 suite runs against it with ``-x``; a
 mutant that passes the suite survives.  The working tree is never touched.
 
-    python3 tools/mutation_probe.py poly gfun --sites 12 --seeds 1 2
+    python3 tools/mutation_probe.py poly gfun
 
-One line per mutant goes to stdout, then the kill count.  A mutant that
-runs past ``--timeout`` seconds counts as killed.
+Each module gets ``SITES`` sites for each seed in ``SEEDS``.  One line per
+mutant goes to stdout, then the kill count.  A mutant that runs past
+``TIMEOUT`` seconds counts as killed.  No bytecode is written, so every
+mutant is compiled from its own source.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SITES = 12  # per module and seed
+SEEDS = (1, 2)
+TIMEOUT = 300.0  # seconds per suite run
 
 _BINOP = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult,
@@ -64,14 +69,17 @@ def mutate(node: ast.AST, index) -> None:
         node.op = _BINOP[type(node.op)]()
 
 
-def run_suite(tree_dir: Path, timeout: float) -> bool:
+def run_suite(tree_dir: Path) -> bool:
     """True when tier-1 passes on the copy."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", "tests"]
+    # a .pyc is checked only by source mtime and size, which an operator or
+    # constant swap keeps, so a cached mutant could stand in for the next one
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        done = subprocess.run(cmd, cwd=tree_dir, env={**os.environ, "PYTHONPATH": "src"},
+        done = subprocess.run(cmd, cwd=tree_dir, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
@@ -80,16 +88,13 @@ def run_suite(tree_dir: Path, timeout: float) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", help="module names under src/sqtilings")
-    parser.add_argument("--sites", type=int, default=12, help="sites per module and seed")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--timeout", type=float, default=300.0)
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_out"))
-        if not run_suite(copy, args.timeout):
+        if not run_suite(copy):
             print("the unmutated tree fails the suite", file=sys.stderr)
             return 2
         killed = total = 0
@@ -98,14 +103,14 @@ def main() -> int:
             source = path.read_text()
             count = len(sites(ast.parse(source)))
             chosen = set()
-            for seed in args.seeds:
-                chosen.update(random.Random(seed).sample(range(count), min(args.sites, count)))
+            for seed in SEEDS:
+                chosen.update(random.Random(seed).sample(range(count), min(SITES, count)))
             for pick in sorted(chosen):
                 tree = ast.parse(source)
                 node, index, what = sites(tree)[pick]
                 mutate(node, index)
                 path.write_text(ast.unparse(tree))
-                survived = run_suite(copy, args.timeout)
+                survived = run_suite(copy)
                 path.write_text(source)
                 total += 1
                 killed += not survived
