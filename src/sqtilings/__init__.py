@@ -25,14 +25,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "engine": (
         "CapExceeded",
+        "DEFAULT_CELL_CAP",
         "DEFAULT_DIM_CAP",
         "DEFAULT_STATE_CAP",
-        "StateCapExceeded",
         "TransferGraph",
         "enumerate_states",
     ),
     "gfun": (
-        "DimensionCapExceeded",
         "EliminationError",
         "emit_cas_script",
         "generating_function",
@@ -49,7 +48,7 @@ _EXPORTS = {
         "check_two_s_square",
         "run_verification",
     ),
-    "oracle": ("BoardTooLarge", "DEFAULT_CELL_CAP", "brute_force_tables"),
+    "oracle": ("brute_force_tables",),
     "poly": ("BiPoly", "PolyT", "RatFun"),
     "series": (
         "CountTable",

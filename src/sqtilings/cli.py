@@ -25,7 +25,8 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__
-from .engine import DEFAULT_DIM_CAP, DEFAULT_STATE_CAP, CapExceeded, enumerate_states
+from .engine import (DEFAULT_CELL_CAP, DEFAULT_DIM_CAP, DEFAULT_STATE_CAP,
+                     CapExceeded, enumerate_states)
 
 
 def _on_first_call(module: str, name: str):
@@ -72,10 +73,12 @@ def cmd_table(args, out) -> int:
 def cmd_square(args, out) -> int:
     from .series import count_table
 
+    # the largest board runs first, so one past a cap or budget is refused
+    # before any smaller board is swept
     tables = [
         count_table(args.s, i, i, args.state_cap)
-        for i in range(1, args.size_max + 1)
-    ]
+        for i in range(args.size_max, 0, -1)
+    ][::-1]
     out.write(_render_tables(tables, args.format))
     return 0
 
@@ -91,14 +94,12 @@ def cmd_gf(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    from .oracle import DEFAULT_CELL_CAP
-
     reports = run_verification(
         s_max=args.s_max,
         n_max=args.n_max,
         m_max=args.m_max,
         state_cap=args.state_cap,
-        oracle_cell_cap=DEFAULT_CELL_CAP if args.oracle_cap is None else args.oracle_cap,
+        oracle_cell_cap=args.oracle_cap,
     )
     ok = all(r.passed for r in reports)
     if args.format == "json":
@@ -210,12 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest board length checked (default 10)")
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (default text)")
-    # None stands for the oracle's DEFAULT_CELL_CAP, which cmd_verify
-    # reads, so that parsing loads no oracle
     p.add_argument(
-        "--oracle-cap", type=_non_negative, default=None, metavar="CELLS",
+        "--oracle-cap", type=_non_negative, default=DEFAULT_CELL_CAP, metavar="CELLS",
         help="largest board, in cells, recounted by the exhaustive "
-        "oracle (0 disables the oracle cross-checks)",
+        "oracle (default %(default)s; 0 disables the oracle cross-checks)",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -46,30 +46,31 @@ fronts gives.  At s = 2 the classes are already the quotient: n = 14 has
 
 from __future__ import annotations
 
-from math import comb
+from itertools import groupby
+from math import comb, prod
 
-# Caps on the advance classes the front search stores and on the unknowns
-# gfun eliminates; both live here, in the one module every CLI command
-# loads, for the CLI's parser.
+# Caps on the advance classes the front search stores, the unknowns gfun
+# eliminates and the board cells the oracle counts; all live here, in the
+# one module every CLI command loads, for the CLI's parser.
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_DIM_CAP = 400
+DEFAULT_CELL_CAP = 64
+# Budgets on cost, not options: the transitions the front search builds
+# (s = 2, n = 22 builds 1 182 925) and the big-int word operations a sweep
+# is estimated to need (s = 2, n = 8 to length 1000 needs about 3.3e9).
+TRANSITION_BUDGET = 2_000_000
+SWEEP_BUDGET = 10**10
 
 # FrontState is a plain tuple of lane overhangs, e.g. (1, 1, 0) for s=2, n=3.
 
 
 class CapExceeded(RuntimeError):
-    """A run needs more than a configured cap allows."""
+    """A run needs more than a cap or budget allows: ``need`` against ``cap``."""
 
-
-class StateCapExceeded(CapExceeded):
-    """The front search met more advance classes than the cap allows."""
-
-    def __init__(self, count: int, cap: int):
-        self.count = count
+    def __init__(self, message: str, need: int, cap: int):
+        super().__init__(message)
+        self.need = need
         self.cap = cap
-        super().__init__(
-            f"front search needs at least {count} advance classes, cap is {cap}"
-        )
 
 
 def transitions(heights: tuple, s: int) -> list:
@@ -100,6 +101,37 @@ def transitions(heights: tuple, s: int) -> list:
                 out.append((nxt[:p] + fill + nxt[p + s:], k + 1))
                 lasts.append(p)
     return out
+
+
+def _run_sets(s: int, n: int) -> list:
+    """a(r) for r = 0 .. n: the anchor sets of a run of r flat lanes.
+
+    a(r) = a(r - 1) + a(r - s), with a(r) = 1 for r < s.  The table stops,
+    and CapExceeded is raised, as soon as an entry passes
+    TRANSITION_BUDGET: a(n) is the flat front's transition count, so that
+    front alone would pass it.
+    """
+    a = [1] * min(s, n + 1)
+    while len(a) <= n and a[-1] <= TRANSITION_BUDGET:
+        a.append(a[-1] + a[-s])
+    _charge_transitions(a[-1])
+    return a
+
+
+def _transition_count(front: tuple, sets: list) -> int:
+    """len(transitions(front, s)), read from ``sets`` = _run_sets(s, n).
+
+    Anchor sets in different maximal flat runs combine freely, so the
+    count is the product of a(r) over the runs.
+    """
+    runs = groupby(front, bool)  # maximal runs of flat and of raised lanes
+    return prod(sets[len(list(run))] for raised, run in runs if not raised)
+
+
+def _charge_transitions(need: int) -> None:
+    if need > TRANSITION_BUDGET:
+        raise CapExceeded(f"front search needs at least {need} transitions, "
+                          f"budget is {TRANSITION_BUDGET}", need, TRANSITION_BUDGET)
 
 
 def _advance_class(front: tuple, s: int) -> tuple:
@@ -162,28 +194,38 @@ def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGr
         raise ValueError("square size and width must be positive")
     if cap < 1:
         raise ValueError("state cap must be positive")
-    start = (0,) * n
     if s == 1:
         # every lane is always flat and every advance returns to the flat
         # front, so the 2^n placement sets aggregate to binomials
         row = tuple((0, k, comb(n, k)) for k in range(n + 1))
-        return TransferGraph(s, n, (start,), (row,))
+        return TransferGraph(s, n, ((0,) * n,), (row,))
+    sets = _run_sets(s, n)
+    start = (0,) * n
     states = [start]  # the first front met of each advance class
     # advance class, or next front as transitions returns it, -> state.
     # The two kinds of key agree: _advance_class is idempotent, so a front
     # equal to a class form lies in that class, which is its state.
     seen = {_advance_class(start, s): 0}
     edges = []  # per state, (dst, k) -> multiplicity
+    built = 0  # transitions built so far
     for h in states:  # states grows as classes are met: a breadth-first walk
+        # no front has more transitions than the flat one, so only a front
+        # that could pass the budget is counted before it is expanded
+        if built + sets[n] > TRANSITION_BUDGET:
+            _charge_transitions(built + _transition_count(h, sets))
+        moves = transitions(h, s)
+        built += len(moves)
         agg: dict = {}
-        for nxt, k in transitions(h, s):
+        for nxt, k in moves:
             j = seen.get(nxt)
             if j is None:
                 cls = _advance_class(nxt, s)
                 j = seen.get(cls)
                 if j is None:
                     if len(states) >= cap:
-                        raise StateCapExceeded(len(states) + 1, cap)
+                        need = len(states) + 1
+                        raise CapExceeded(f"front search needs at least {need} "
+                                          f"advance classes, cap is {cap}", need, cap)
                     j = seen[cls] = len(states)
                     states.append(min(nxt, nxt[::-1]))
                 seen[nxt] = seen[nxt[::-1]] = j

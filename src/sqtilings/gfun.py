@@ -56,15 +56,6 @@ from .engine import DEFAULT_DIM_CAP, CapExceeded
 from .poly import BiPoly, PolyT, RatFun
 
 
-class DimensionCapExceeded(CapExceeded):
-    """Transfer system is larger than the configured elimination cap."""
-
-    def __init__(self, dim: int, cap: int):
-        self.dim = dim
-        self.cap = cap
-        super().__init__(f"transfer system has dimension {dim}, cap is {cap}")
-
-
 class EliminationError(RuntimeError):
     """The linear system degenerated; impossible for well-formed transfer graphs."""
 
@@ -77,7 +68,8 @@ def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
     """
     dim = len(edges)
     if dim > dim_cap:
-        raise DimensionCapExceeded(dim, dim_cap)
+        raise CapExceeded(f"transfer system has dimension {dim}, cap is {dim_cap}",
+                          dim, dim_cap)
     rhs = dim  # extra column index for the right-hand side e0
     bits = _slot_bits(edges)
 

@@ -332,12 +332,15 @@ def run_verification(
     n_max: int = 10,
     m_max: int = 10,
     state_cap: int = DEFAULT_STATE_CAP,
-    oracle_cell_cap: int = 0,
+    *,
+    oracle_cell_cap: int,
 ) -> list:
     """Every identity report in one list, for the CLI and the test suite.
 
-    The checks share one table source; it sweeps an (s, n) again only when
-    a check asks for a longer board than the stored sweep reached.
+    ``oracle_cell_cap`` goes to the checks that recount boards with the
+    oracle; 0 turns the oracle off.  The checks share one table source; it
+    sweeps an (s, n) again only when a check asks for a longer board than
+    the stored sweep reached.
     """
     swept: dict = {}
 

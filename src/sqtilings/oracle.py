@@ -1,6 +1,8 @@
 """Independent ground truth: cell-by-cell exact-cover counting on a bitboard.
 
-This deliberately shares nothing with the lane-based transfer machinery.
+This deliberately shares no counting code with the lane-based transfer
+machinery: from :mod:`sqtilings.engine` it takes only the cell cap and the
+exception that reports it.
 The board is scanned in row-major order, in one forward pass over the
 cells.  The state at cell p is the occupancy bitmask of cells p, p+1, ...
 left by the squares placed so far.  An empty cell p is covered either by a
@@ -24,18 +26,8 @@ symmetry that the transfer-matrix route uses for short boards.
 
 from __future__ import annotations
 
+from .engine import DEFAULT_CELL_CAP, CapExceeded
 from .series import CountTable
-
-DEFAULT_CELL_CAP = 64
-
-
-class BoardTooLarge(ValueError):
-    """Board exceeds the configured oracle cell cap."""
-
-    def __init__(self, cells: int, cap: int):
-        self.cells = cells
-        self.cap = cap
-        super().__init__(f"board has {cells} cells, oracle cap is {cap}")
 
 
 def _row_ends(s: int, rows: int, cols: int, size: int):
@@ -93,9 +85,11 @@ def brute_force_tables(
         raise ValueError("square size and width must be positive")
     if m_max < 0:
         raise ValueError("board length must be >= 0")
-    if n * m_max > cell_cap:
-        raise BoardTooLarge(n * m_max, cell_cap)
-    size = n * m_max // 8 + 1  # bytes that hold n * m_max + 1 bits
+    cells = n * m_max
+    if cells > cell_cap:
+        raise CapExceeded(f"board has {cells} cells, oracle cap is {cell_cap}",
+                          cells, cell_cap)
+    size = cells // 8 + 1  # bytes that hold cells + 1 bits
     return [
         _table(s, n, m, packed, size)
         for m, packed in enumerate(_row_ends(s, m_max, n, size))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .engine import DEFAULT_STATE_CAP, enumerate_states
+from .engine import DEFAULT_STATE_CAP, SWEEP_BUDGET, CapExceeded, enumerate_states
 
 
 class CountTable(namedtuple("CountTable", "s n m counts")):
@@ -76,14 +76,20 @@ def _packed_sweep(s, n, m_max, state_cap):
     # t = 1 edges merged per destination into one k = 0 group
     by_k = []
     at_one = []
+    into = [0] * graph.dim  # summed multiplicity of the edges into each state
     for edges in graph.edges:
         groups: dict = {}
         merged: dict = {}
         for dst, k, mult in edges:
             groups.setdefault(k, []).append((dst, mult))
             merged[dst] = merged.get(dst, 0) + mult
+            into[dst] += mult
         by_k.append(tuple(groups.items()))
         at_one.append(((0, tuple(merged.items())),))
+    need = _sweep_words(s, n, m_max, sum(map(len, graph.edges)), max(into))
+    if need > SWEEP_BUDGET:
+        raise CapExceeded(f"sweep of {m_max} steps needs about {need} word "
+                          f"operations, budget is {SWEEP_BUDGET}", need, SWEEP_BUDGET)
     ones = [1] + [0] * (graph.dim - 1)  # each state's polynomial at t = 1
     vec = list(ones)  # each state's polynomial, packed
     width = 1  # bytes per slot
@@ -102,6 +108,24 @@ def _packed_sweep(s, n, m_max, state_cap):
         for _ in range(steps):
             vec = _step(vec, by_k, 8 * width)
             yield vec[0], width
+
+
+def _sweep_words(s, n, steps, edges, rho):
+    """Estimated 64-bit word operations of a sweep, in closed form.
+
+    Step j does one shift-and-add per edge, on at least one word.  Its
+    packed ints hold at most n*j // s^2 + 1 slots (the area bound) of at
+    most j*b + 1 bits, with b = ceil(log2 rho): rho, the largest summed
+    multiplicity into a state, bounds each step's growth of the t = 1
+    values that set the slot width.
+    """
+    b = (rho - 1).bit_length()
+    sq = s * s
+    sum1 = steps * (steps + 1) // 2  # sum of j over the steps
+    sum2 = sum1 * (2 * steps + 1) // 3  # sum of j^2
+    # sum over j of (n*j/sq + 1) * (b*j + 1), times sq
+    bits = n * b * sum2 + (n + b * sq) * sum1 + sq * steps
+    return edges * (steps + bits // (64 * sq))
 
 
 def _flat_entry_sweep(s, n, m_max, state_cap):

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from sqtilings import cli
 from sqtilings.cli import main
+from sqtilings.engine import SWEEP_BUDGET, TRANSITION_BUDGET
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,6 +137,30 @@ def test_verify_state_cap_exit_code(capsys):
     assert out == ""
     assert "cap is 10" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,budget",
+    [
+        (["table", "--s", "2", "--n", "3", "--m", "99999999999"], SWEEP_BUDGET),
+        (["table", "--s", "3", "--n", "99999999999", "--m", "1", "--state-cap", "3"],
+         SWEEP_BUDGET),
+        (["gf", "--s", "2", "--n", "40"], TRANSITION_BUDGET),
+        (["square", "--s", "2", "--size-max", "100000"], TRANSITION_BUDGET),
+    ],
+)
+def test_over_budget_runs_exit_2_at_once(capsys, argv, budget):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith(f"budget is {budget}\n")
+
+
+def test_oracle_cap_default_is_the_engine_constant():
+    assert cli.build_parser().parse_args(["verify"]).oracle_cap == 64
 
 
 def test_square_paper_lines(capsys):

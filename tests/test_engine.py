@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqtilings import engine
 from sqtilings.engine import (
+    DEFAULT_CELL_CAP,
     DEFAULT_DIM_CAP,
     DEFAULT_STATE_CAP,
-    StateCapExceeded,
+    SWEEP_BUDGET,
+    TRANSITION_BUDGET,
+    CapExceeded,
     _advance_class,
+    _run_sets,
+    _transition_count,
     enumerate_states,
     transitions,
 )
@@ -208,17 +214,72 @@ def test_heights_decay_by_one_per_row():
 
 
 def test_cap_defaults_are_the_documented_ones():
-    # the README quotes both
+    # the README quotes all five
     assert DEFAULT_STATE_CAP == 100_000
     assert DEFAULT_DIM_CAP == 400
+    assert DEFAULT_CELL_CAP == 64
+    # s = 2, n = 22 builds 1 182 925 transitions, and must stay admitted
+    assert TRANSITION_BUDGET == 2_000_000
+    assert SWEEP_BUDGET == 10**10
 
 
 def test_state_cap():
-    with pytest.raises(StateCapExceeded) as err:
+    with pytest.raises(CapExceeded) as err:
         enumerate_states(2, 16, 100)
     assert err.value.cap == 100
-    assert err.value.count == 101
+    assert err.value.need == 101
     assert "cap is 100" in str(err.value)
+
+
+def test_state_cap_of_one_admits_a_one_class_graph():
+    assert enumerate_states(2, 1, cap=1).dim == 1
+
+
+def counting_transitions(monkeypatch):
+    calls = []
+
+    def counting(heights, s):
+        calls.append(heights)
+        return transitions(heights, s)
+
+    monkeypatch.setattr(engine, "transitions", counting)
+    return calls
+
+
+def test_each_advance_class_is_expanded_once(monkeypatch):
+    # 184 classes at s = 2, n = 14; a search without class raising expands
+    # all 322 mirror fronts
+    calls = counting_transitions(monkeypatch)
+    enumerate_states(2, 14)
+    assert len(calls) == 184
+
+
+@given(st.integers(2, 5), st.data())
+def test_transition_count_is_the_number_built(s, data):
+    front = data.draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=12))
+    sets = _run_sets(s, len(front))
+    assert _transition_count(tuple(front), sets) == len(transitions(tuple(front), s))
+
+
+def test_transition_budget_charges_every_transition(monkeypatch):
+    # s = 2, n = 14 builds 5353 transitions over its 184 fronts
+    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 5353)
+    assert enumerate_states(2, 14).dim == 184
+    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 5352)
+    with pytest.raises(CapExceeded) as err:
+        enumerate_states(2, 14)
+    assert err.value.cap == 5352
+    assert err.value.need > 5352
+
+
+def test_transition_budget_refuses_a_wide_flat_front_before_building(monkeypatch):
+    calls = counting_transitions(monkeypatch)
+    for n in (40, 10**9):
+        with pytest.raises(CapExceeded) as err:
+            enumerate_states(2, n)
+        assert err.value.cap == TRANSITION_BUDGET
+        assert f"budget is {TRANSITION_BUDGET}" in str(err.value)
+    assert calls == []
 
 
 def test_rejects_degenerate_parameters():

@@ -8,9 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sqtilings import gfun
-from sqtilings.engine import enumerate_states
+from sqtilings.engine import CapExceeded, enumerate_states
 from sqtilings.gfun import (
-    DimensionCapExceeded,
     _cross_terms,
     _exact_div,
     _slot_bits,
@@ -282,9 +281,9 @@ def test_series_requires_unit_denominator_head():
 
 
 def test_dimension_cap():
-    with pytest.raises(DimensionCapExceeded) as err:
+    with pytest.raises(CapExceeded) as err:
         generating_function(enumerate_states(2, 4).edges, dim_cap=2)
-    assert err.value.dim == 3
+    assert err.value.need == 3
     assert err.value.cap == 2
 
 

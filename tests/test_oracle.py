@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from sqtilings import oracle
-from sqtilings.oracle import BoardTooLarge, brute_force_tables
+from sqtilings.engine import CapExceeded
+from sqtilings.oracle import brute_force_tables
 from sqtilings.series import CountTable, count_tables
 
 
@@ -51,12 +52,19 @@ def test_negative_length_is_rejected():
 
 
 def test_cell_cap():
-    with pytest.raises(BoardTooLarge) as err:
+    with pytest.raises(CapExceeded) as err:
         brute_force_tables(2, 9, 8)
-    assert err.value.cells == 72
+    assert err.value.need == 72
     assert err.value.cap == 64
     # raising the cap admits the same board
     assert brute_force_tables(2, 9, 8, cell_cap=72)[8].counts[0] == 1
+
+
+def test_table_rejects_a_slot_past_the_area_bound():
+    # a 2 x 2 board holds at most one square of side 2: slots k = 0 and 1
+    assert oracle._table(2, 2, 2, 1 | 1 << 8, 1) == CountTable(2, 2, 2, (1, 1))
+    with pytest.raises(RuntimeError, match="2 squares of side 2 exceed the area bound"):
+        oracle._table(2, 2, 2, 1 | 1 << 8 | 1 << 16, 1)
 
 
 def test_long_board_keeps_recursion_limit():
@@ -93,15 +101,16 @@ def test_tables_empty_length():
 
 
 def test_tables_cell_cap_charges_longest_board():
-    with pytest.raises(BoardTooLarge) as err:
+    with pytest.raises(CapExceeded) as err:
         brute_force_tables(2, 5, 13)
-    assert err.value.cells == 65
+    assert err.value.need == 65
     assert err.value.cap == 64
     assert len(brute_force_tables(2, 5, 13, cell_cap=65)) == 14
 
 
-def test_oracle_imports_only_count_table():
-    # a second route: nothing from the transfer graph or the GF solver
+def test_oracle_imports_no_counting_code():
+    # a second route: nothing from the transfer graph or the GF solver, only
+    # the cap and its exception from engine and the table type from series
     tree = ast.parse(Path(oracle.__file__).read_text())
     package = [
         (node.level, node.module, [alias.name for alias in node.names])
@@ -109,7 +118,10 @@ def test_oracle_imports_only_count_table():
         if isinstance(node, ast.ImportFrom)
         and (node.level or node.module.startswith("sqtilings"))
     ]
-    assert package == [(1, "series", ["CountTable"])]
+    assert package == [
+        (1, "engine", ["DEFAULT_CELL_CAP", "CapExceeded"]),
+        (1, "series", ["CountTable"]),
+    ]
     assert not any(
         alias.name.startswith("sqtilings")
         for node in ast.walk(tree)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqtilings.engine import enumerate_states, transitions
+from sqtilings import series
+from sqtilings.engine import SWEEP_BUDGET, CapExceeded, enumerate_states, transitions
 from sqtilings.series import (
     CountTable,
     _flat_entry_sweep,
     _packed_sweep,
+    _sweep_words,
     count_table,
     count_tables,
     paper_line,
@@ -254,3 +256,49 @@ def test_count_table_is_value_object():
     assert a == b
     with pytest.raises(AttributeError):
         a.counts = ()
+
+
+def sweep_words(s, n, steps):
+    graph = enumerate_states(s, n)
+    into = [0] * graph.dim
+    for edges in graph.edges:
+        for dst, _, mult in edges:
+            into[dst] += mult
+    return _sweep_words(s, n, steps, sum(map(len, graph.edges)), max(into))
+
+
+def test_sweep_estimate_calibration():
+    # on a 2-core VM table --s 2 --n 8 --m 400 takes about 1.2 s and
+    # --m 1000 about 18 s: the estimate grows with the cube of the length
+    # and admits both
+    assert sweep_words(2, 8, 400) == 212_083_400
+    assert sweep_words(2, 8, 1000) == 3_300_392_875 < SWEEP_BUDGET
+    assert sweep_words(3, 9, 80) == 531_342
+    # every edge costs a word on every step, even on a one-state graph
+    assert _sweep_words(3, 1, 10**11, 1, 1) >= 10**11
+
+
+def test_sweep_budget_admits_its_own_estimate(monkeypatch):
+    need = sweep_words(2, 3, 5)
+    monkeypatch.setattr(series, "SWEEP_BUDGET", need)
+    assert count_table(2, 3, 5).counts == (1, 8, 12)
+    monkeypatch.setattr(series, "SWEEP_BUDGET", need - 1)
+    with pytest.raises(CapExceeded) as err:
+        count_table(2, 3, 5)
+    assert (err.value.need, err.value.cap) == (need, need - 1)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: count_table(2, 3, 99999999999),
+        lambda: count_table(3, 99999999999, 1, 3),  # swept along its width-1 side
+        lambda: count_tables(2, 1, 10**11),
+    ],
+)
+def test_sweep_budget_refuses_before_the_first_step(sweep):
+    with pytest.raises(CapExceeded) as err:
+        sweep()
+    assert err.value.cap == SWEEP_BUDGET
+    assert err.value.need > SWEEP_BUDGET
+    assert f"budget is {SWEEP_BUDGET}" in str(err.value)
