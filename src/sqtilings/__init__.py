@@ -26,8 +26,6 @@ _EXPORTS = {
     "engine": (
         "CapExceeded",
         "DEFAULT_CELL_CAP",
-        "DEFAULT_DIM_CAP",
-        "DEFAULT_STATE_CAP",
         "TransferGraph",
         "enumerate_states",
     ),

@@ -9,8 +9,10 @@ Subcommands:
 * ``cas``    -- emit the transfer system as a solve-and-print script
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for usage
-errors (an ``--out`` file that cannot be written among them) and for
-boards that exceed a configured cap.
+errors (an ``--out`` file that cannot be written among them) and for runs
+past a cap or budget.  The state and dimension caps and the transition
+and sweep budgets are constants in :mod:`sqtilings.engine`; the oracle's
+cell cap, ``verify --oracle-cap``, is the one limit that is an option.
 
 A run loads only the modules its subcommand calls: ``gf`` never imports
 ``series``, ``identities`` or ``oracle``, and ``table`` never imports
@@ -25,8 +27,7 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__
-from .engine import (DEFAULT_CELL_CAP, DEFAULT_DIM_CAP, DEFAULT_STATE_CAP,
-                     CapExceeded, enumerate_states)
+from .engine import DEFAULT_CELL_CAP, CapExceeded, enumerate_states
 
 
 def _on_first_call(module: str, name: str):
@@ -63,9 +64,9 @@ def cmd_table(args, out) -> int:
     from .series import count_table, count_tables
 
     if args.m is not None:
-        tables = [count_table(args.s, args.n, args.m, args.state_cap)]
+        tables = [count_table(args.s, args.n, args.m)]
     else:
-        tables = count_tables(args.s, args.n, args.m_max, args.state_cap)
+        tables = count_tables(args.s, args.n, args.m_max)
     out.write(_render_tables(tables, args.format))
     return 0
 
@@ -75,17 +76,13 @@ def cmd_square(args, out) -> int:
 
     # the largest board runs first, so one past a cap or budget is refused
     # before any smaller board is swept
-    tables = [
-        count_table(args.s, i, i, args.state_cap)
-        for i in range(args.size_max, 0, -1)
-    ][::-1]
+    tables = [count_table(args.s, i, i) for i in range(args.size_max, 0, -1)][::-1]
     out.write(_render_tables(tables, args.format))
     return 0
 
 
 def cmd_gf(args, out) -> int:
-    graph = enumerate_states(args.s, args.n, args.state_cap)
-    ratio = generating_function(graph.edges, args.gf_cap)
+    ratio = generating_function(enumerate_states(args.s, args.n).edges)
     lines = [ratio.render()]
     if args.row_sums:
         lines.append(ratio.substitute_t(1).render())
@@ -98,7 +95,6 @@ def cmd_verify(args, out) -> int:
         s_max=args.s_max,
         n_max=args.n_max,
         m_max=args.m_max,
-        state_cap=args.state_cap,
         oracle_cell_cap=args.oracle_cap,
     )
     ok = all(r.passed for r in reports)
@@ -122,7 +118,7 @@ def cmd_verify(args, out) -> int:
 def cmd_cas(args, out) -> int:
     from .gfun import emit_cas_script, parse_cas_script
 
-    graph = enumerate_states(args.s, args.n, args.state_cap)
+    graph = enumerate_states(args.s, args.n)
     script = emit_cas_script(graph.edges)
     out.write(script)
     if args.check:
@@ -163,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write to this file instead of stdout")
-    common.add_argument(
-        "--state-cap", type=_positive, default=DEFAULT_STATE_CAP, metavar="N",
-        help="abort if the front search needs more advance classes than this",
-    )
 
     p = subs.add_parser("table", parents=[common],
                         help="count tables for one board height")
@@ -193,11 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive, required=True, help="board height")
     p.add_argument("--row-sums", action="store_true",
                    help="also print the t=1 specialization")
-    p.add_argument(
-        "--gf-cap", type=_positive, default=DEFAULT_DIM_CAP, metavar="N",
-        help="abort if the lumped linear system has more unknowns than "
-        "this; it bounds the number of unknowns, not the time",
-    )
     p.set_defaults(func=cmd_gf)
 
     p = subs.add_parser("verify", parents=[common],

@@ -49,11 +49,11 @@ from __future__ import annotations
 from itertools import groupby
 from math import comb, prod
 
-# Caps on the advance classes the front search stores, the unknowns gfun
-# eliminates and the board cells the oracle counts; all live here, in the
-# one module every CLI command loads, for the CLI's parser.
-DEFAULT_STATE_CAP = 100_000
-DEFAULT_DIM_CAP = 400
+# Caps on size, not options: the advance classes the front search stores
+# and the unknowns gfun eliminates.  Beside them, in the one module every
+# command loads, the default of ``verify --oracle-cap`` (oracle board cells).
+STATE_CAP = 100_000
+DIM_CAP = 400
 DEFAULT_CELL_CAP = 64
 # Budgets on cost, not options: the transitions the front search builds
 # (s = 2, n = 22 builds 1 182 925) and the big-int word operations a sweep
@@ -183,17 +183,15 @@ class TransferGraph:
         return f"TransferGraph(s={self.s}, n={self.n}, dim={self.dim})"
 
 
-def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGraph:
+def enumerate_states(s: int, n: int) -> TransferGraph:
     """Lumped transfer graph of the fronts reachable from the flat front.
 
     The advance classes are enumerated breadth-first, each expanded once
-    from the first front met in it, and ``cap`` bounds how many; the
+    from the first front met in it, and STATE_CAP bounds how many; the
     returned graph is their quotient by the coarsest exact lumping.
     """
     if s < 1 or n < 1:
         raise ValueError("square size and width must be positive")
-    if cap < 1:
-        raise ValueError("state cap must be positive")
     if s == 1:
         # every lane is always flat and every advance returns to the flat
         # front, so the 2^n placement sets aggregate to binomials
@@ -222,10 +220,10 @@ def enumerate_states(s: int, n: int, cap: int = DEFAULT_STATE_CAP) -> TransferGr
                 cls = _advance_class(nxt, s)
                 j = seen.get(cls)
                 if j is None:
-                    if len(states) >= cap:
+                    if len(states) >= STATE_CAP:
                         need = len(states) + 1
-                        raise CapExceeded(f"front search needs at least {need} "
-                                          f"advance classes, cap is {cap}", need, cap)
+                        raise CapExceeded(f"front search needs at least {need} advance "
+                                          f"classes, cap is {STATE_CAP}", need, STATE_CAP)
                     j = seen[cls] = len(states)
                     states.append(min(nxt, nxt[::-1]))
                 seen[nxt] = seen[nxt[::-1]] = j

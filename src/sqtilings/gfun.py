@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import re
 
-from .engine import DEFAULT_DIM_CAP, CapExceeded
+from .engine import DIM_CAP, CapExceeded
 from .poly import BiPoly, PolyT, RatFun
 
 
@@ -60,16 +60,16 @@ class EliminationError(RuntimeError):
     """The linear system degenerated; impossible for well-formed transfer graphs."""
 
 
-def generating_function(edges, dim_cap: int = DEFAULT_DIM_CAP) -> RatFun:
+def generating_function(edges) -> RatFun:
     """Head component of (I - M)^-1 e0 by fraction-free elimination.
 
     ``edges`` is ``TransferGraph.edges``: entry (dst, src) of M is the sum
     of mult * z * t^k over the triples (dst, k, mult) in edges[src].
     """
     dim = len(edges)
-    if dim > dim_cap:
-        raise CapExceeded(f"transfer system has dimension {dim}, cap is {dim_cap}",
-                          dim, dim_cap)
+    if dim > DIM_CAP:
+        raise CapExceeded(f"transfer system has dimension {dim}, cap is {DIM_CAP}",
+                          dim, DIM_CAP)
     rhs = dim  # extra column index for the right-hand side e0
     bits = _slot_bits(edges)
 

@@ -19,8 +19,10 @@ discovery, so they are enforced and surfaced loudly rather than hidden.
 
 Each check reads its boards through ``tables(s, n, m_max)``, which
 returns the count tables for m = 0 .. at least m_max (by default
-:func:`count_tables`); :func:`run_verification` gives all five checks one
-such source, so a run sweeps each (s, n) once.
+:func:`count_tables`), and the oracle's through ``oracle(s, n, m_max,
+cell_cap)`` (by default :func:`brute_force_tables`).
+:func:`run_verification` gives all checks one source of each, so a run
+sweeps each (s, n) once and makes one oracle pass per (s, n).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .engine import DEFAULT_STATE_CAP
 from .oracle import brute_force_tables
 from .series import CountTable, count_tables
 
@@ -115,6 +116,7 @@ def check_basic(
     m_max: int = 10,
     tables=count_tables,
     oracle_cell_cap: int = 0,
+    oracle=brute_force_tables,
 ) -> IdentityReport:
     """Coefficient identities that hold for every board.
 
@@ -124,8 +126,8 @@ def check_basic(
     counts are invariant under swapping n and m.  When ``oracle_cell_cap``
     is positive (0 turns the oracle off), the boards n x m with n <= m and
     at most that many cells are also recounted by the exhaustive oracle:
-    one :func:`brute_force_tables` pass of width n per (s, n) gives every
-    length.
+    one ``oracle(s, n, m_max, cell_cap)`` pass of width n per (s, n) gives
+    every length.
     """
     report = IdentityReport("basic count identities")
     for s in range(1, s_max + 1):
@@ -180,7 +182,7 @@ def check_basic(
                 last = min(m_max, oracle_cell_cap // n)
                 if last < n:
                     continue
-                brute = brute_force_tables(s, n, last, oracle_cell_cap)
+                brute = oracle(s, n, last, oracle_cell_cap)
                 for m in range(n, last + 1):
                     report.add(
                         "oracle_agreement",
@@ -189,12 +191,6 @@ def check_basic(
                         by_n[n][m].counts,
                     )
     return report
-
-
-def _trim(counts: list) -> tuple:
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
 
 
 def check_single_lane(
@@ -213,7 +209,8 @@ def check_single_lane(
         lane = tables(s, s, m_max)
         sums = [t.row_sum for t in lane]
         for m in range(0, m_max + 1):
-            expected = _trim([comb(m - (s - 1) * k, k) for k in range(m // s + 1)])
+            # m >= s*k makes every entry at least 1, so none needs trimming
+            expected = tuple(comb(m - (s - 1) * k, k) for k in range(m // s + 1))
             report.add(
                 "single_lane_binomial",
                 {"s": s, "m": m},
@@ -292,6 +289,7 @@ def check_two_s_square(
 def check_conjectures(
     tables=count_tables,
     oracle_cell_cap: int = 0,
+    oracle=brute_force_tables,
 ) -> IdentityReport:
     """Conjectured count vectors for boards one or two columns past 2s x 2s.
 
@@ -301,8 +299,8 @@ def check_conjectures(
     confirm the instances s = 2, 3, 4 and s = 3, 4, and a failing
     instance would refute the pattern.
     When ``oracle_cell_cap`` is positive, each board with at most that
-    many cells is also recounted as the last table of one
-    :func:`brute_force_tables` pass: m = 2s+1 or 2s+2 rows of width 2s.
+    many cells is also recounted as the last table of one ``oracle`` pass:
+    m = 2s+1 or 2s+2 rows of width 2s.
     """
     report = IdentityReport("conjectured near-square count vectors")
     patterns = (
@@ -321,39 +319,45 @@ def check_conjectures(
                 report.add(
                     "oracle_agreement",
                     {"s": s, "n": n, "m": m},
-                    brute_force_tables(s, n, m, oracle_cell_cap)[m].counts,
+                    oracle(s, n, m, oracle_cell_cap)[m].counts,
                     actual,
                 )
     return report
+
+
+def _kept(run):
+    """``run(s, n, m, ...)``, run again for an (s, n) only when a call asks
+    for a longer board than the tables kept from its last run reach."""
+    kept: dict = {}
+
+    def source(s, n, m, *rest):
+        have = kept.get((s, n))
+        if have is None or len(have) <= m:
+            have = kept[(s, n)] = run(s, n, m, *rest)
+        return have
+
+    return source
 
 
 def run_verification(
     s_max: int = 5,
     n_max: int = 10,
     m_max: int = 10,
-    state_cap: int = DEFAULT_STATE_CAP,
     *,
     oracle_cell_cap: int,
 ) -> list:
     """Every identity report in one list, for the CLI and the test suite.
 
     ``oracle_cell_cap`` goes to the checks that recount boards with the
-    oracle; 0 turns the oracle off.  The checks share one table source; it
-    sweeps an (s, n) again only when a check asks for a longer board than
-    the stored sweep reached.
+    oracle; 0 turns the oracle off.  The checks share one :func:`_kept`
+    table source and one oracle source.
     """
-    swept: dict = {}
-
-    def tables(s, n, m):
-        have = swept.get((s, n))
-        if have is None or len(have) <= m:
-            have = swept[(s, n)] = count_tables(s, n, m, state_cap)
-        return have
-
+    tables = _kept(count_tables)
+    oracle = _kept(brute_force_tables)
     return [
-        check_basic(s_max, n_max, m_max, tables, oracle_cell_cap),
+        check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle),
         check_single_lane(s_max, max(m_max, 2 * s_max), tables),
         check_subwidth(s_max, n_max, m_max, tables),
         check_two_s_square(s_max, tables),
-        check_conjectures(tables=tables, oracle_cell_cap=oracle_cell_cap),
+        check_conjectures(tables, oracle_cell_cap, oracle),
     ]

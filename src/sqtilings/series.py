@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .engine import DEFAULT_STATE_CAP, SWEEP_BUDGET, CapExceeded, enumerate_states
+from .engine import SWEEP_BUDGET, CapExceeded, enumerate_states
 
 
 class CountTable(namedtuple("CountTable", "s n m counts")):
@@ -64,14 +64,14 @@ def _step(vec, groups, slot):
     return nxt
 
 
-def _packed_sweep(s, n, m_max, state_cap):
+def _packed_sweep(s, n, m_max):
     """Yield the flat-front entry for m = 0 .. m_max as (packed int, slot bytes).
 
     See the module docstring for the packing.
     """
     if m_max < 0:
         raise ValueError("board length must be >= 0")
-    graph = enumerate_states(s, n, state_cap)
+    graph = enumerate_states(s, n)
     # packed edges grouped by k, so each source is shifted once per k;
     # t = 1 edges merged per destination into one k = 0 group
     by_k = []
@@ -128,12 +128,12 @@ def _sweep_words(s, n, steps, edges, rho):
     return edges * (steps + bits // (64 * sq))
 
 
-def _flat_entry_sweep(s, n, m_max, state_cap):
+def _flat_entry_sweep(s, n, m_max):
     """Flat-front t-polynomials (dict exponent -> coeff) for m = 0 .. m_max.
 
     Every coefficient is positive.
     """
-    return [_unpack(x, width) for x, width in _packed_sweep(s, n, m_max, state_cap)]
+    return [_unpack(x, width) for x, width in _packed_sweep(s, n, m_max)]
 
 
 def _slot_bytes(x: int, width: int) -> bytes:
@@ -173,22 +173,18 @@ def _table(s: int, n: int, m: int, poly: dict) -> CountTable:
     return CountTable(s, n, m, tuple(poly.get(k, 0) for k in range(top + 1)))
 
 
-def count_tables(
-    s: int, n: int, m_max: int, state_cap: int = DEFAULT_STATE_CAP
-) -> list:
+def count_tables(s: int, n: int, m_max: int) -> list:
     """Count tables of the n x m boards for m = 0 .. m_max, from one sweep.
 
     m = 0 is the empty board with its single empty tiling.
     """
     return [
         _table(s, n, m, poly)
-        for m, poly in enumerate(_flat_entry_sweep(s, n, m_max, state_cap))
+        for m, poly in enumerate(_flat_entry_sweep(s, n, m_max))
     ]
 
 
-def count_table(
-    s: int, n: int, m: int, state_cap: int = DEFAULT_STATE_CAP
-) -> CountTable:
+def count_table(s: int, n: int, m: int) -> CountTable:
     """Exact counts for the n x m board, all square counts k at once.
 
     n x m and m x n tilings coincide, so a board with 0 < m < n is swept
@@ -197,7 +193,7 @@ def count_table(
     only the last entry is unpacked.
     """
     across, along = (m, n) if 0 < m < n else (n, m)
-    for x, width in _packed_sweep(s, across, along, state_cap):
+    for x, width in _packed_sweep(s, across, along):
         pass
     return _table(s, n, m, _unpack(x, width))
 

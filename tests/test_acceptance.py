@@ -60,7 +60,7 @@ def test_acceptance_2_closed_forms(load_gf_fixture):
     worst = 0.0
     for s, n in CLOSED_FORM_CASES:
         t0 = time.perf_counter()
-        mine = generating_function(enumerate_states(s, n).edges, dim_cap=400)
+        mine = generating_function(enumerate_states(s, n).edges)
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
         if not mine.equivalent(load_gf_fixture(f"s{s}_n{n}")) or elapsed > 30.0:

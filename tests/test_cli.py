@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sqtilings import cli
+from sqtilings import cli, engine, gfun
 from sqtilings.cli import main
 from sqtilings.engine import SWEEP_BUDGET, TRANSITION_BUDGET
 
@@ -117,22 +117,24 @@ def test_gf_row_sums_line(capsys):
     assert out == "(1) / (1 - z - z^2*t)\n(1) / (1 - z - z^2)\n"
 
 
-def test_gf_dimension_cap_exit_code(capsys):
+def test_gf_dimension_cap_exit_code(capsys, monkeypatch):
     # the cap applies to the lumped system: 34 states from 51 mirror fronts
-    code, _, err = run(capsys, "gf", "--s", "2", "--n", "10", "--gf-cap", "33")
+    monkeypatch.setattr(gfun, "DIM_CAP", 33)
+    code, _, err = run(capsys, "gf", "--s", "2", "--n", "10")
     assert code == 2
     assert "dimension 34" in err
 
 
-def test_state_cap_exit_code(capsys):
-    code, _, err = run(capsys, "table", "--s", "2", "--n", "16", "--m", "16",
-                       "--state-cap", "100")
+def test_state_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "STATE_CAP", 100)
+    code, _, err = run(capsys, "table", "--s", "2", "--n", "16", "--m", "16")
     assert code == 2
     assert "cap is 100" in err
 
 
-def test_verify_state_cap_exit_code(capsys):
-    code, out, err = run(capsys, "verify", "--state-cap", "10")
+def test_verify_state_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "STATE_CAP", 10)
+    code, out, err = run(capsys, "verify")
     assert code == 2
     assert out == ""
     assert "cap is 10" in err
@@ -143,8 +145,7 @@ def test_verify_state_cap_exit_code(capsys):
     "argv,budget",
     [
         (["table", "--s", "2", "--n", "3", "--m", "99999999999"], SWEEP_BUDGET),
-        (["table", "--s", "3", "--n", "99999999999", "--m", "1", "--state-cap", "3"],
-         SWEEP_BUDGET),
+        (["table", "--s", "3", "--n", "99999999999", "--m", "1"], SWEEP_BUDGET),
         (["gf", "--s", "2", "--n", "40"], TRANSITION_BUDGET),
         (["square", "--s", "2", "--size-max", "100000"], TRANSITION_BUDGET),
     ],
@@ -157,6 +158,31 @@ def test_over_budget_runs_exit_2_at_once(capsys, argv, budget):
     assert out == ""
     assert err.startswith("error: ")
     assert err.endswith(f"budget is {budget}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--s", "2", "--n", "3", "--m", "5"],
+        ["square", "--s", "2", "--size-max", "3"],
+        ["gf", "--s", "2", "--n", "3"],
+        ["verify"],
+        ["cas", "--s", "2", "--n", "3"],
+    ],
+)
+def test_state_and_dimension_caps_are_not_options(capsys, argv):
+    # both are engine constants; --oracle-cap is the one limit option
+    with pytest.raises(SystemExit) as exit_:
+        main([argv[0], "--help"])
+    assert exit_.value.code == 0
+    assert "-cap" not in capsys.readouterr().out.replace("--oracle-cap", "")
+    for flag in ("--state-cap", "--gf-cap"):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, flag, "3"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 3" in captured.err
 
 
 def test_oracle_cap_default_is_the_engine_constant():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from sqtilings import engine
 from sqtilings.engine import (
     DEFAULT_CELL_CAP,
-    DEFAULT_DIM_CAP,
-    DEFAULT_STATE_CAP,
+    DIM_CAP,
+    STATE_CAP,
     SWEEP_BUDGET,
     TRANSITION_BUDGET,
     CapExceeded,
@@ -215,24 +215,26 @@ def test_heights_decay_by_one_per_row():
 
 def test_cap_defaults_are_the_documented_ones():
     # the README quotes all five
-    assert DEFAULT_STATE_CAP == 100_000
-    assert DEFAULT_DIM_CAP == 400
+    assert STATE_CAP == 100_000
+    assert DIM_CAP == 400
     assert DEFAULT_CELL_CAP == 64
     # s = 2, n = 22 builds 1 182 925 transitions, and must stay admitted
     assert TRANSITION_BUDGET == 2_000_000
     assert SWEEP_BUDGET == 10**10
 
 
-def test_state_cap():
+def test_state_cap(monkeypatch):
+    monkeypatch.setattr(engine, "STATE_CAP", 100)
     with pytest.raises(CapExceeded) as err:
-        enumerate_states(2, 16, 100)
+        enumerate_states(2, 16)
     assert err.value.cap == 100
     assert err.value.need == 101
     assert "cap is 100" in str(err.value)
 
 
-def test_state_cap_of_one_admits_a_one_class_graph():
-    assert enumerate_states(2, 1, cap=1).dim == 1
+def test_state_cap_of_one_admits_a_one_class_graph(monkeypatch):
+    monkeypatch.setattr(engine, "STATE_CAP", 1)
+    assert enumerate_states(2, 1).dim == 1
 
 
 def counting_transitions(monkeypatch):
@@ -282,10 +284,17 @@ def test_transition_budget_refuses_a_wide_flat_front_before_building(monkeypatch
     assert calls == []
 
 
+def test_transition_budget_refuses_an_anchor_count_equal_to_it(monkeypatch):
+    # at s = 2 the flat runs admit 1, 1, 2, 3, 5, 8, 13 anchor sets: the
+    # table runs on past an entry equal to the budget, to the 13 that passes it
+    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 8)
+    with pytest.raises(CapExceeded) as err:
+        enumerate_states(2, 10)
+    assert (err.value.need, err.value.cap) == (13, 8)
+
+
 def test_rejects_degenerate_parameters():
     with pytest.raises(ValueError):
         enumerate_states(0, 3)
     with pytest.raises(ValueError):
         enumerate_states(2, 0)
-    with pytest.raises(ValueError):
-        enumerate_states(2, 3, 0)

@@ -280,9 +280,10 @@ def test_series_requires_unit_denominator_head():
         series_expand(RatFun.parse("(1) / (1 - z)"), -1)
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setattr(gfun, "DIM_CAP", 2)
     with pytest.raises(CapExceeded) as err:
-        generating_function(enumerate_states(2, 4).edges, dim_cap=2)
+        generating_function(enumerate_states(2, 4).edges)
     assert err.value.need == 3
     assert err.value.cap == 2
 
@@ -361,7 +362,7 @@ def test_gfun_imports_only_the_public_poly_types():
         and (node.level or node.module.startswith("sqtilings"))
     ]
     assert package == [
-        (1, "engine", ["DEFAULT_DIM_CAP", "CapExceeded"]),
+        (1, "engine", ["DIM_CAP", "CapExceeded"]),
         (1, "poly", ["BiPoly", "PolyT", "RatFun"]),
     ]
     assert not any(

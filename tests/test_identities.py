@@ -29,16 +29,15 @@ def test_basic_identities_pass():
     }
 
 
-def test_basic_reads_oracle_once_per_width(monkeypatch):
+def test_basic_reads_oracle_once_per_width():
     calls = []
-    tables = identities.brute_force_tables
 
     def counting_tables(s, n, m_max, cell_cap):
         calls.append((s, n))
-        return tables(s, n, m_max, cell_cap)
+        return identities.brute_force_tables(s, n, m_max, cell_cap)
 
-    monkeypatch.setattr(identities, "brute_force_tables", counting_tables)
-    report = check_basic(s_max=3, n_max=6, m_max=6, oracle_cell_cap=30)
+    report = check_basic(s_max=3, n_max=6, m_max=6, oracle_cell_cap=30,
+                         oracle=counting_tables)
     boards = {
         (c.params["s"], c.params["n"], c.params["m"])
         for c in report.checks
@@ -55,6 +54,14 @@ def test_basic_reads_oracle_once_per_width(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_basic_oracle_widths_stop_at_n_max():
+    # boards of width n_max + 1 fit the cell cap here, but are not in the grid
+    report = check_basic(s_max=2, n_max=3, m_max=8, oracle_cell_cap=24)
+    assert report.passed
+    widths = {c.params["n"] for c in report.checks if c.identity == "oracle_agreement"}
+    assert widths == {1, 2, 3}
+
+
 def test_single_lane_report():
     report = check_single_lane(s_max=4, m_max=12)
     assert report.passed
@@ -66,6 +73,17 @@ def test_single_lane_report():
     assert lag3 == {1: False, 2: False, 3: True, 4: False}
     # the lag-3 notes must not drag the report down
     assert all(c.informational for c in report.checks if not c.ok)
+
+
+def test_single_lane_lag_3_note_from_length_3():
+    # as in `verify --s-max 1 --m-max 3`: 3 is the shortest length with a lag-3 term
+    def notes(m_max):
+        report = check_single_lane(s_max=1, m_max=m_max)
+        return [c for c in report.checks if c.identity == "single_lane_lag_3_recurrence"]
+
+    assert len(notes(3)) == 1
+    assert notes(3)[0].informational
+    assert notes(2) == []
 
 
 def test_subwidth_and_two_s_square_pass():
@@ -132,13 +150,29 @@ def test_run_verification_bundle():
     assert all(r.passed for r in reports)
 
 
+def test_run_verification_makes_one_oracle_pass_per_system(monkeypatch):
+    calls = []
+    tables = identities.brute_force_tables
+
+    def counting_tables(s, n, m_max, cell_cap):
+        calls.append((s, n))
+        return tables(s, n, m_max, cell_cap)
+
+    monkeypatch.setattr(identities, "brute_force_tables", counting_tables)
+    reports = run_verification(oracle_cell_cap=64)
+    assert sum(r.enforced for r in reports) == 2216
+    # check_conjectures' boards 4 x 5, 6 x 7 and 6 x 8 reuse check_basic's passes
+    assert {(2, 4), (3, 6)} <= set(calls)
+    assert len(calls) == len(set(calls))
+
+
 def test_run_verification_sweeps_each_system_once(monkeypatch):
     swept = []
     sweep = series._flat_entry_sweep
 
-    def counting_sweep(s, n, m_max, state_cap):
+    def counting_sweep(s, n, m_max):
         swept.append((s, n))
-        return sweep(s, n, m_max, state_cap)
+        return sweep(s, n, m_max)
 
     monkeypatch.setattr(series, "_flat_entry_sweep", counting_sweep)
     assert all(r.passed for r in run_verification(oracle_cell_cap=0))

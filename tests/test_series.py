@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqtilings import series
+from sqtilings import engine, series
 from sqtilings.engine import SWEEP_BUDGET, CapExceeded, enumerate_states, transitions
 from sqtilings.series import (
     CountTable,
@@ -48,9 +48,10 @@ def test_empty_and_tiny_boards():
         count_table(2, 3, -1)
 
 
-def test_single_board_swept_along_shorter_side():
+def test_single_board_swept_along_shorter_side(monkeypatch):
     # a 24 x 1 board runs on the 1-state width-1 graph, far under the cap
-    table = count_table(2, 24, 1, state_cap=10)
+    monkeypatch.setattr(engine, "STATE_CAP", 10)
+    table = count_table(2, 24, 1)
     assert table.counts == (1,)
     assert (table.n, table.m) == (24, 1)
 
@@ -111,7 +112,7 @@ def _dict_sweep(edges, m_max):
 )
 def test_packed_sweep_matches_dict_sweep(s, n, m_max):
     # long enough for the packed slots to widen several times
-    rows = _flat_entry_sweep(s, n, m_max, 1000)
+    rows = _flat_entry_sweep(s, n, m_max)
     assert len(rows) == m_max + 1
     assert all(c > 0 for row in rows for c in row.values())
     assert rows == _dict_sweep(enumerate_states(s, n).edges, m_max)
@@ -138,7 +139,7 @@ def test_sweep_slots_are_the_t1_bound(s, n, m_max, widths):
     for start in range(0, m_max, 16):
         block = peaks[start:start + 16]
         expected += [max(expected[-1], *block)] * len(block)
-    got = [width for _, width in _packed_sweep(s, n, m_max, 1000)]
+    got = [width for _, width in _packed_sweep(s, n, m_max)]
     assert got == expected
     assert sorted(set(got)) == widths
 
@@ -292,11 +293,13 @@ def test_sweep_budget_admits_its_own_estimate(monkeypatch):
     "sweep",
     [
         lambda: count_table(2, 3, 99999999999),
-        lambda: count_table(3, 99999999999, 1, 3),  # swept along its width-1 side
+        lambda: count_table(3, 99999999999, 1),  # swept along its width-1 side
         lambda: count_tables(2, 1, 10**11),
     ],
 )
-def test_sweep_budget_refuses_before_the_first_step(sweep):
+def test_sweep_budget_refuses_before_the_first_step(monkeypatch, sweep):
+    # every case runs on a graph of at most 2 states
+    monkeypatch.setattr(engine, "STATE_CAP", 3)
     with pytest.raises(CapExceeded) as err:
         sweep()
     assert err.value.cap == SWEEP_BUDGET
