@@ -52,9 +52,6 @@ _EXPORTS = {
         "CountTable",
         "count_table",
         "count_tables",
-        "paper_line",
-        "table_record",
-        "tables_to_csv",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -16,7 +16,8 @@ cell cap, ``verify --oracle-cap``, is the one limit that is an option.
 
 A run loads only the modules its subcommand calls: ``gf`` never imports
 ``series``, ``identities`` or ``oracle``, and ``table`` never imports
-``gfun`` or ``poly``.
+``gfun`` or ``poly``.  The table formats live here, built from the
+``CountTable`` fields, so ``series`` only counts.
 """
 
 from __future__ import annotations
@@ -49,15 +50,18 @@ run_verification = _on_first_call(".identities", "run_verification")
 
 
 def _render_tables(tables, fmt: str) -> str:
-    from .series import paper_line, table_record, tables_to_csv
+    if fmt == "json":
+        import json  # here, as json is the only format that needs it
 
+        records = [{**t._asdict(), "row_sum": t.row_sum} for t in tables]
+        return json.dumps(records, indent=2) + "\n"
     if fmt == "paper":
-        return "\n".join(paper_line(t) for t in tables) + "\n"
-    if fmt == "csv":
-        return tables_to_csv(tables)
-    import json  # here, as json is the only format that needs it
-
-    return json.dumps([table_record(t) for t in tables], indent=2) + "\n"
+        lines = [f"{t.s} {t.n} {t.m} : {' '.join(map(str, t.counts))} : {t.row_sum}"
+                 for t in tables]
+    else:  # csv: every field is an int, so none needs quoting
+        lines = ["s,n,m,k,count"]
+        lines += [f"{t.s},{t.n},{t.m},{k},{c}" for t in tables for k, c in enumerate(t.counts)]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_table(args, out) -> int:

@@ -46,8 +46,8 @@ fronts gives.  At s = 2 the classes are already the quotient: n = 14 has
 
 from __future__ import annotations
 
-from itertools import groupby
-from math import comb, prod
+from itertools import accumulate, groupby
+from math import prod
 
 # Caps on size, not options: the advance classes the front search stores
 # and the unknowns gfun eliminates.  Beside them, in the one module every
@@ -194,8 +194,10 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
         raise ValueError("square size and width must be positive")
     if s == 1:
         # every lane is always flat and every advance returns to the flat
-        # front, so the 2^n placement sets aggregate to binomials
-        row = tuple((0, k, comb(n, k)) for k in range(n + 1))
+        # front, so the 2^n placement sets aggregate to binomials, each
+        # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1)
+        binomials = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
+        row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))
     sets = _run_sets(s, n)
     start = (0,) * n

@@ -196,37 +196,3 @@ def count_table(s: int, n: int, m: int) -> CountTable:
     for x, width in _packed_sweep(s, across, along):
         pass
     return _table(s, n, m, _unpack(x, width))
-
-
-# ---------------------------------------------------------------------------
-# output formats
-
-
-def paper_line(table: CountTable) -> str:
-    """One table as ``S N M : c0 c1 ... cK : ROWSUM`` (single spaces)."""
-    counts = " ".join(str(c) for c in table.counts)
-    return f"{table.s} {table.n} {table.m} : {counts} : {table.row_sum}"
-
-
-def tables_to_csv(tables) -> str:
-    import csv  # here, so that only csv output pays for loading it
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["s", "n", "m", "k", "count"])
-    for table in tables:
-        for k, c in enumerate(table.counts):
-            writer.writerow([table.s, table.n, table.m, k, c])
-    return buf.getvalue()
-
-
-def table_record(table: CountTable) -> dict:
-    """JSON-ready record for one table."""
-    return {
-        "s": table.s,
-        "n": table.n,
-        "m": table.m,
-        "counts": list(table.counts),
-        "row_sum": table.row_sum,
-    }

@@ -11,6 +11,7 @@ import pytest
 from sqtilings import cli, engine, gfun
 from sqtilings.cli import main
 from sqtilings.engine import SWEEP_BUDGET, TRANSITION_BUDGET
+from sqtilings.identities import IdentityReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +27,13 @@ def test_table_paper_format(capsys):
                        "--format", "paper")
     assert code == 0
     assert out == "2 3 5 : 1 8 12 : 21\n"
+
+
+def test_table_paper_format_empty_board(capsys):
+    # the empty board has its one tiling, with no squares
+    code, out, _ = run(capsys, "table", "--s", "2", "--n", "2", "--m", "0",
+                       "--format", "paper")
+    assert (code, out) == (0, "2 2 0 : 1 : 1\n")
 
 
 def test_table_defaults_to_paper_format(capsys):
@@ -46,6 +54,13 @@ def test_table_range_csv(capsys):
     )
 
 
+def test_table_csv_text(capsys):
+    # one row per k, up to the largest k that has a tiling
+    code, out, _ = run(capsys, "table", "--s", "2", "--n", "3", "--m", "3",
+                       "--format", "csv")
+    assert (code, out) == (0, "s,n,m,k,count\n2,3,3,0,1\n2,3,3,1,4\n")
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "--s", "3", "--n", "6", "--m", "6",
                        "--format", "json")
@@ -54,6 +69,35 @@ def test_table_json(capsys):
     assert records == [
         {"s": 3, "n": 6, "m": 6, "counts": [1, 16, 30, 12, 1], "row_sum": 60}
     ]
+
+
+def test_table_json_text(capsys):
+    # two-space indent, one line per list item, keys in field order
+    code, out, _ = run(capsys, "table", "--s", "2", "--n", "3", "--m-max", "1",
+                       "--format", "json")
+    assert code == 0
+    assert out == """\
+[
+  {
+    "s": 2,
+    "n": 3,
+    "m": 0,
+    "counts": [
+      1
+    ],
+    "row_sum": 1
+  },
+  {
+    "s": 2,
+    "n": 3,
+    "m": 1,
+    "counts": [
+      1
+    ],
+    "row_sum": 1
+  }
+]
+"""
 
 
 @pytest.mark.parametrize("fmt", ["paper", "csv", "json"])
@@ -250,9 +294,20 @@ def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--s-max", "2", "--n-max", "3",
                        "--m-max", "3", "--oracle-cap", "0", "--format", "json")
     assert code == 0
+    assert out.startswith('{\n  "passed": true,\n  "reports": [\n    {\n')
     payload = json.loads(out)
     assert payload["passed"] is True
     assert len(payload["reports"]) == 5
+
+
+def test_failed_verification_exits_1(capsys, monkeypatch):
+    # 1 is kept for a failed check; usage errors and caps exit 2
+    report = IdentityReport("rigged")
+    report.add("one_is_two", {}, 1, 2)
+    monkeypatch.setattr(cli, "run_verification", lambda **kwargs: [report])
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert out.endswith("\n1 enforced checks: FAILURES above\n")
 
 
 def _checks_sha256(checks):
@@ -291,6 +346,14 @@ def test_cas_emits_script_and_checks(capsys):
     assert "cas round-trip ok" in err
 
 
+def test_cas_round_trip_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(gfun, "parse_cas_script", lambda script: ())
+    code, out, err = run(capsys, "cas", "--s", "2", "--n", "2", "--check")
+    assert code == 1
+    assert out.startswith("eq_0 := ")
+    assert err == "cas round-trip mismatch\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -306,12 +369,16 @@ def test_unknown_subcommand_exits_2(capsys):
         pytest.param('main(["table", "--s", "2", "--n", "3", "--m", "5", '
                      '"--format", "paper"])',
                      {"cli", "engine", "series"}, id="table"),
+        pytest.param('main(["table", "--s", "2", "--n", "3", "--m-max", "4", '
+                     '"--format", "csv"])',
+                     {"cli", "engine", "series"}, id="table-csv"),
     ],
 )
 def test_cli_loads_only_what_the_command_runs(call, package_modules):
     # every CLI process pays to load (and, without bytecode caches, to
     # compile) each module it imports; dataclasses pulls in inspect, ast,
-    # dis and tokenize, and json and csv serve only their output formats
+    # dis and tokenize, json serves only its output format, and the csv
+    # format is plain joined ints, which needs no csv module
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = (
         "import sys\n"

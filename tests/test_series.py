@@ -1,4 +1,3 @@
-import json
 from math import comb
 
 import pytest
@@ -14,9 +13,6 @@ from sqtilings.series import (
     _sweep_words,
     count_table,
     count_tables,
-    paper_line,
-    table_record,
-    tables_to_csv,
 )
 
 
@@ -233,22 +229,6 @@ def test_square_boards():
     assert tables[1].counts == (1, 1)
     assert tables[2].counts == (1, 4)
     assert tables[3].counts == (1, 9, 16, 8, 1)
-
-
-def test_paper_line_format():
-    assert paper_line(count_table(2, 3, 5)) == "2 3 5 : 1 8 12 : 21"
-    assert paper_line(count_table(2, 2, 0)) == "2 2 0 : 1 : 1"
-
-
-def test_csv_format():
-    text = tables_to_csv([count_table(2, 3, 3)])
-    assert text == "s,n,m,k,count\n2,3,3,0,1\n2,3,3,1,4\n"
-
-
-def test_json_record():
-    rec = table_record(count_table(2, 3, 5))
-    assert rec == {"s": 2, "n": 3, "m": 5, "counts": [1, 8, 12], "row_sum": 21}
-    json.dumps(rec)  # stays serializable
 
 
 def test_count_table_is_value_object():
