@@ -36,16 +36,7 @@ _EXPORTS = {
         "parse_cas_script",
         "series_expand",
     ),
-    "identities": (
-        "CheckResult",
-        "IdentityReport",
-        "check_basic",
-        "check_conjectures",
-        "check_single_lane",
-        "check_subwidth",
-        "check_two_s_square",
-        "run_verification",
-    ),
+    "identities": ("CheckResult", "IdentityReport", "run_verification"),
     "oracle": ("brute_force_tables",),
     "poly": ("BiPoly", "PolyT", "RatFun"),
     "series": (

@@ -13,16 +13,16 @@ recurrence on single-lane boards, which is a special case of the true
 lag-s recurrence and holds only when s = 3; it is kept visible because it
 is an easy recurrence to misremember.
 
-The two ``check_conjectures`` patterns (boards 2s x (2s+1) and
+The two ``_check_conjectures`` patterns (boards 2s x (2s+1) and
 2s x (2s+2)) are conjectured, not proved; a failure there would be a
 discovery, so they are enforced and surfaced loudly rather than hidden.
 
-Each check reads its boards through ``tables(s, n, m_max)``, which
-returns the count tables for m = 0 .. at least m_max (by default
-:func:`count_tables`), and the oracle's through ``oracle(s, n, m_max,
-cell_cap)`` (by default :func:`brute_force_tables`).
-:func:`run_verification` gives all checks one source of each, so a run
-sweeps each (s, n) once and makes one oracle pass per (s, n).
+:func:`run_verification` is the one entry point, and the checks are its
+steps.  Each check reads its boards through ``tables(s, n, m_max)``,
+which returns the count tables for m = 0 .. at least m_max, and the
+oracle's through ``oracle(s, n, m_max, cell_cap)``; a run gives all checks
+one kept source of each, so it sweeps each (s, n) once and makes one
+oracle pass per (s, n).
 """
 
 from __future__ import annotations
@@ -110,14 +110,7 @@ def _coeff(table: CountTable, k: int) -> int:
     return table.counts[k] if 0 <= k < len(table.counts) else 0
 
 
-def check_basic(
-    s_max: int = 5,
-    n_max: int = 10,
-    m_max: int = 10,
-    tables=count_tables,
-    oracle_cell_cap: int = 0,
-    oracle=brute_force_tables,
-) -> IdentityReport:
+def _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle) -> IdentityReport:
     """Coefficient identities that hold for every board.
 
     Zero squares always one way; one square in (n-s+1)(m-s+1) ways; boards
@@ -193,11 +186,7 @@ def check_basic(
     return report
 
 
-def check_single_lane(
-    s_max: int = 5,
-    m_max: int = 20,
-    tables=count_tables,
-) -> IdentityReport:
+def _check_single_lane(s_max, m_max, tables) -> IdentityReport:
     """Boards of height exactly s, where everything is known in closed form.
 
     Squares occupy disjoint length-s windows of the strip, so the count
@@ -235,12 +224,7 @@ def check_single_lane(
     return report
 
 
-def check_subwidth(
-    s_max: int = 5,
-    n_max: int = 10,
-    m_max: int = 10,
-    tables=count_tables,
-) -> IdentityReport:
+def _check_subwidth(s_max, n_max, m_max, tables) -> IdentityReport:
     """Boards with s <= n < 2s factor through the single-lane counts.
 
     No two squares can share a column range, so a tiling is a single-lane
@@ -265,10 +249,7 @@ def check_subwidth(
     return report
 
 
-def check_two_s_square(
-    s_max: int = 5,
-    tables=count_tables,
-) -> IdentityReport:
+def _check_two_s_square(s_max, tables) -> IdentityReport:
     """The 2s x 2s board has the same count vector for every s.
 
     (1, (s+1)^2, 2s(s+2), 4s, 1): the four maximal packings collapse to
@@ -286,11 +267,7 @@ def check_two_s_square(
     return report
 
 
-def check_conjectures(
-    tables=count_tables,
-    oracle_cell_cap: int = 0,
-    oracle=brute_force_tables,
-) -> IdentityReport:
+def _check_conjectures(tables, oracle_cell_cap, oracle) -> IdentityReport:
     """Conjectured count vectors for boards one or two columns past 2s x 2s.
 
     For 2s x (2s+1), s >= 2, the counts appear to be
@@ -339,15 +316,11 @@ def _kept(run):
     return source
 
 
-def run_verification(
-    s_max: int = 5,
-    n_max: int = 10,
-    m_max: int = 10,
-    *,
-    oracle_cell_cap: int,
-) -> list:
+def run_verification(s_max: int, n_max: int, m_max: int, oracle_cell_cap: int) -> list:
     """Every identity report in one list, for the CLI and the test suite.
 
+    The grid is s = 1 .. s_max, n = 1 .. n_max and m = 0 .. m_max, with the
+    single-lane boards run to length max(m_max, 2 s_max).
     ``oracle_cell_cap`` goes to the checks that recount boards with the
     oracle; 0 turns the oracle off.  The checks share one :func:`_kept`
     table source and one oracle source.
@@ -355,9 +328,9 @@ def run_verification(
     tables = _kept(count_tables)
     oracle = _kept(brute_force_tables)
     return [
-        check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle),
-        check_single_lane(s_max, max(m_max, 2 * s_max), tables),
-        check_subwidth(s_max, n_max, m_max, tables),
-        check_two_s_square(s_max, tables),
-        check_conjectures(tables, oracle_cell_cap, oracle),
+        _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle),
+        _check_single_lane(s_max, max(m_max, 2 * s_max), tables),
+        _check_subwidth(s_max, n_max, m_max, tables),
+        _check_two_s_square(s_max, tables),
+        _check_conjectures(tables, oracle_cell_cap, oracle),
     ]

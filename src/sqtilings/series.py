@@ -15,14 +15,13 @@ the k-th slot of B bits (Kronecker substitution), so an edge of weight
 mult * t^k costs one shift-and-add: ``nxt[dst] += (x << k*B) * mult``.
 Every count is positive, so no coefficient, nor any partial sum of one,
 exceeds its polynomial's value at t = 1; a plain integer sweep at t = 1
-over the same edges therefore bounds every slot.  Both run ``_step``: at
-t = 1 with slot 0 and each source's edges merged into one k = 0 group,
-packed with slot B and the edges grouped by k.  Ahead of each block of
-``_BLOCK`` steps B is set to the t = 1 bound in whole bytes, and the packed
-ints are repacked when B grows, so early steps do not carry the width
-of the last.  The sweep hands back the packed flat-front entry of every
-step: :func:`count_tables` unpacks each one, :func:`count_table` only
-the last.
+over the same edges therefore bounds every slot.  Both run ``_step`` on
+the edges grouped by k: at t = 1 with slot 0, where every shift is 0, and
+packed with slot B.  Ahead of each block of ``_BLOCK`` steps B is set to
+the t = 1 bound in whole bytes, and the packed ints are repacked when B
+grows, so early steps do not carry the width of the last.  The sweep
+hands back the packed flat-front entry of every step: :func:`count_tables`
+unpacks each one, :func:`count_table` only the last.
 """
 
 from __future__ import annotations
@@ -71,25 +70,21 @@ def _packed_sweep(s, n, m_max):
     """
     if m_max < 0:
         raise ValueError("board length must be >= 0")
+    if s == 1:
+        # the one state has n + 1 edges whose multiplicities C(n, k) sum to
+        # 2^n, so the sweep is charged before its binomials (about n^2 bits)
+        _charge_sweep(s, n, m_max, n + 1, 1 << n)
     graph = enumerate_states(s, n)
-    # packed edges grouped by k, so each source is shifted once per k;
-    # t = 1 edges merged per destination into one k = 0 group
+    # edges grouped by k, so each source is shifted once per k
     by_k = []
-    at_one = []
     into = [0] * graph.dim  # summed multiplicity of the edges into each state
     for edges in graph.edges:
         groups: dict = {}
-        merged: dict = {}
         for dst, k, mult in edges:
             groups.setdefault(k, []).append((dst, mult))
-            merged[dst] = merged.get(dst, 0) + mult
             into[dst] += mult
         by_k.append(tuple(groups.items()))
-        at_one.append(((0, tuple(merged.items())),))
-    need = _sweep_words(s, n, m_max, sum(map(len, graph.edges)), max(into))
-    if need > SWEEP_BUDGET:
-        raise CapExceeded(f"sweep of {m_max} steps needs about {need} word "
-                          f"operations, budget is {SWEEP_BUDGET}", need, SWEEP_BUDGET)
+    _charge_sweep(s, n, m_max, sum(map(len, graph.edges)), max(into))
     ones = [1] + [0] * (graph.dim - 1)  # each state's polynomial at t = 1
     vec = list(ones)  # each state's polynomial, packed
     width = 1  # bytes per slot
@@ -99,7 +94,7 @@ def _packed_sweep(s, n, m_max):
         # the t = 1 values over the block bound every slot it fills
         bits = 0
         for _ in range(steps):
-            ones = _step(ones, at_one, 0)
+            ones = _step(ones, by_k, 0)
             bits = max(bits, max(ones).bit_length())
         if bits > 8 * width:
             wider = -(-bits // 8)
@@ -126,6 +121,13 @@ def _sweep_words(s, n, steps, edges, rho):
     # sum over j of (n*j/sq + 1) * (b*j + 1), times sq
     bits = n * b * sum2 + (n + b * sq) * sum1 + sq * steps
     return edges * (steps + bits // (64 * sq))
+
+
+def _charge_sweep(s, n, steps, edges, rho):
+    need = _sweep_words(s, n, steps, edges, rho)
+    if need > SWEEP_BUDGET:
+        raise CapExceeded(f"sweep of {steps} steps needs about {need} word "
+                          f"operations, budget is {SWEEP_BUDGET}", need, SWEEP_BUDGET)
 
 
 def _flat_entry_sweep(s, n, m_max):

@@ -4,17 +4,19 @@ from sqtilings import identities, series
 from sqtilings.identities import (
     CheckResult,
     IdentityReport,
-    check_basic,
-    check_conjectures,
-    check_single_lane,
-    check_subwidth,
-    check_two_s_square,
+    _check_basic,
+    _check_conjectures,
+    _check_single_lane,
+    _check_subwidth,
+    _check_two_s_square,
     run_verification,
 )
+from sqtilings.oracle import brute_force_tables
+from sqtilings.series import count_tables
 
 
 def test_basic_identities_pass():
-    report = check_basic(s_max=3, n_max=6, m_max=6, oracle_cell_cap=30)
+    report = _check_basic(3, 6, 6, count_tables, 30, brute_force_tables)
     assert report.passed
     assert report.failures == []
     names = {c.identity for c in report.checks}
@@ -34,10 +36,9 @@ def test_basic_reads_oracle_once_per_width():
 
     def counting_tables(s, n, m_max, cell_cap):
         calls.append((s, n))
-        return identities.brute_force_tables(s, n, m_max, cell_cap)
+        return brute_force_tables(s, n, m_max, cell_cap)
 
-    report = check_basic(s_max=3, n_max=6, m_max=6, oracle_cell_cap=30,
-                         oracle=counting_tables)
+    report = _check_basic(3, 6, 6, count_tables, 30, counting_tables)
     boards = {
         (c.params["s"], c.params["n"], c.params["m"])
         for c in report.checks
@@ -56,14 +57,14 @@ def test_basic_reads_oracle_once_per_width():
 
 def test_basic_oracle_widths_stop_at_n_max():
     # boards of width n_max + 1 fit the cell cap here, but are not in the grid
-    report = check_basic(s_max=2, n_max=3, m_max=8, oracle_cell_cap=24)
+    report = _check_basic(2, 3, 8, count_tables, 24, brute_force_tables)
     assert report.passed
     widths = {c.params["n"] for c in report.checks if c.identity == "oracle_agreement"}
     assert widths == {1, 2, 3}
 
 
 def test_single_lane_report():
-    report = check_single_lane(s_max=4, m_max=12)
+    report = _check_single_lane(4, 12, count_tables)
     assert report.passed
     lag3 = {
         c.params["s"]: c.ok
@@ -78,7 +79,7 @@ def test_single_lane_report():
 def test_single_lane_lag_3_note_from_length_3():
     # as in `verify --s-max 1 --m-max 3`: 3 is the shortest length with a lag-3 term
     def notes(m_max):
-        report = check_single_lane(s_max=1, m_max=m_max)
+        report = _check_single_lane(1, m_max, count_tables)
         return [c for c in report.checks if c.identity == "single_lane_lag_3_recurrence"]
 
     assert len(notes(3)) == 1
@@ -87,12 +88,12 @@ def test_single_lane_lag_3_note_from_length_3():
 
 
 def test_subwidth_and_two_s_square_pass():
-    assert check_subwidth(s_max=4, n_max=8, m_max=8).passed
-    assert check_two_s_square(s_max=5).passed
+    assert _check_subwidth(4, 8, 8, count_tables).passed
+    assert _check_two_s_square(5, count_tables).passed
 
 
 def test_conjecture_instances():
-    report = check_conjectures(oracle_cell_cap=48)
+    report = _check_conjectures(count_tables, 48, brute_force_tables)
     assert report.passed
     params = {
         (c.params["s"], c.params["n"], c.params["m"])
@@ -145,7 +146,7 @@ def test_check_result_is_frozen():
 
 
 def test_run_verification_bundle():
-    reports = run_verification(s_max=2, n_max=4, m_max=4, oracle_cell_cap=16)
+    reports = run_verification(2, 4, 4, 16)
     assert len(reports) == 5
     assert all(r.passed for r in reports)
 
@@ -159,9 +160,9 @@ def test_run_verification_makes_one_oracle_pass_per_system(monkeypatch):
         return tables(s, n, m_max, cell_cap)
 
     monkeypatch.setattr(identities, "brute_force_tables", counting_tables)
-    reports = run_verification(oracle_cell_cap=64)
+    reports = run_verification(5, 10, 10, 64)  # the default `verify` grid
     assert sum(r.enforced for r in reports) == 2216
-    # check_conjectures' boards 4 x 5, 6 x 7 and 6 x 8 reuse check_basic's passes
+    # _check_conjectures' boards 4 x 5, 6 x 7 and 6 x 8 reuse _check_basic's passes
     assert {(2, 4), (3, 6)} <= set(calls)
     assert len(calls) == len(set(calls))
 
@@ -175,7 +176,7 @@ def test_run_verification_sweeps_each_system_once(monkeypatch):
         return sweep(s, n, m_max)
 
     monkeypatch.setattr(series, "_flat_entry_sweep", counting_sweep)
-    assert all(r.passed for r in run_verification(oracle_cell_cap=0))
-    # s = 1..5 by n = 1..10; every later check reads boards check_basic swept
+    assert all(r.passed for r in run_verification(5, 10, 10, 0))
+    # s = 1..5 by n = 1..10; every later check reads boards _check_basic swept
     assert len(set(swept)) == 50
     assert len(swept) == 50

@@ -285,3 +285,23 @@ def test_sweep_budget_refuses_before_the_first_step(monkeypatch, sweep):
     assert err.value.cap == SWEEP_BUDGET
     assert err.value.need > SWEEP_BUDGET
     assert f"budget is {SWEEP_BUDGET}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: count_tables(1, 100000, 1),
+        lambda: count_table(1, 100000, 100000),
+    ],
+)
+def test_unit_square_sweep_budget_refuses_before_enumeration(monkeypatch, sweep):
+    # the s = 1 graph's sizes are known in closed form; building its
+    # binomials alone would take about 0.9 GB
+    def enumerate_states(s, n):
+        raise AssertionError("enumerated a graph past the sweep budget")
+
+    monkeypatch.setattr(series, "enumerate_states", enumerate_states)
+    with pytest.raises(CapExceeded) as err:
+        sweep()
+    assert err.value.need > SWEEP_BUDGET
+    assert f"budget is {SWEEP_BUDGET}" in str(err.value)
