@@ -16,8 +16,9 @@ cell cap, ``verify --oracle-cap``, is the one limit that is an option.
 
 A run loads only the modules its subcommand calls: ``gf`` never imports
 ``series``, ``identities`` or ``oracle``, and ``table`` never imports
-``gfun`` or ``poly``.  The table formats live here, built from the
-``CountTable`` fields, so ``series`` only counts.
+``gfun`` or ``poly``.  The table and report formats live here, built
+from the ``CountTable`` and ``IdentityReport`` fields, so ``series`` only
+counts and ``identities`` only checks.
 """
 
 from __future__ import annotations
@@ -64,6 +65,30 @@ def _render_tables(tables, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_reports(reports, fmt: str) -> str:
+    ok = all(r.passed for r in reports)
+    if fmt == "json":
+        import json
+
+        records = [{"name": r.name, "passed": r.passed,
+                    "checks": [c._asdict() for c in r.checks]} for r in reports]
+        return json.dumps({"passed": ok, "reports": records}, indent=2) + "\n"
+
+    def where(c):
+        return f"{c.identity} [{' '.join(f'{k}={v}' for k, v in c.params.items())}]"
+
+    lines = []
+    for r in reports:
+        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.enforced} checks")
+        lines += [f"  FAIL {where(c)}: expected {c.expected}, got {c.actual}"
+                  for c in r.failures]
+        lines += [f"  note {where(c)}: {'holds' if c.ok else 'does not hold'} (informational)"
+                  for c in r.checks if c.informational]
+    verdict = "all passed" if ok else "FAILURES above"
+    lines.append(f"{sum(r.enforced for r in reports)} enforced checks: {verdict}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_table(args, out) -> int:
     from .series import count_table, count_tables
 
@@ -101,22 +126,8 @@ def cmd_verify(args, out) -> int:
         m_max=args.m_max,
         oracle_cell_cap=args.oracle_cap,
     )
-    ok = all(r.passed for r in reports)
-    if args.format == "json":
-        import json
-
-        payload = {
-            "passed": ok,
-            "reports": [r.to_json_dict() for r in reports],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [r.render_text() for r in reports]
-        total = sum(r.enforced for r in reports)
-        verdict = "all passed" if ok else "FAILURES above"
-        lines.append(f"{total} enforced checks: {verdict}")
-        out.write("\n".join(lines) + "\n")
-    return 0 if ok else 1
+    out.write(_render_reports(reports, args.format))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_cas(args, out) -> int:

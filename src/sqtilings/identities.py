@@ -5,9 +5,10 @@ closed-form coefficients, row-sum recurrences, symmetry, product
 structure for boards barely wider than a square, and exhaustive
 enumeration on boards small enough for the brute-force oracle.  Each
 check function returns an :class:`IdentityReport`; a report passes when
-every enforced check matched.
+every enforced check matched.  This module only checks: ``sqtilings
+verify`` writes the reports' text and JSON in :mod:`sqtilings.cli`.
 
-Checks flagged informational are recorded and rendered but never fail a
+Checks flagged informational are recorded and shown but never fail a
 report.  The one informational check shipped is the lag-3 row-sum
 recurrence on single-lane boards, which is a special case of the true
 lag-s recurrence and holds only when s = 3; it is kept visible because it
@@ -46,15 +47,10 @@ class CheckResult(
     __slots__ = ()
 
 
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "name checks")):
     """The named list of checks one check function ran."""
 
-    def __init__(self, name: str):
-        self.name = name
-        self.checks = []
-
-    def __repr__(self):
-        return f"IdentityReport(name={self.name!r}, checks={self.checks!r})"
+    __slots__ = ()
 
     def add(self, identity, params, expected, actual, informational=False):
         self.checks.append(
@@ -77,34 +73,6 @@ class IdentityReport:
     def failures(self) -> list:
         return [c for c in self.checks if not c.ok and not c.informational]
 
-    def render_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        lines = [f"[{status}] {self.name}: {self.enforced} checks"]
-        for c in self.failures:
-            lines.append(
-                f"  FAIL {c.identity} [{_fmt_params(c.params)}]: "
-                f"expected {c.expected}, got {c.actual}"
-            )
-        for c in self.checks:
-            if c.informational:
-                word = "holds" if c.ok else "does not hold"
-                lines.append(
-                    f"  note {c.identity} [{_fmt_params(c.params)}]: "
-                    f"{word} (informational)"
-                )
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [c._asdict() for c in self.checks],
-        }
-
-
-def _fmt_params(params: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in params.items())
-
 
 def _coeff(table: CountTable, k: int) -> int:
     return table.counts[k] if 0 <= k < len(table.counts) else 0
@@ -122,7 +90,7 @@ def _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle) -> Identi
     one ``oracle(s, n, m_max, cell_cap)`` pass of width n per (s, n) gives
     every length.
     """
-    report = IdentityReport("basic count identities")
+    report = IdentityReport("basic count identities", [])
     for s in range(1, s_max + 1):
         by_n = {n: tables(s, n, m_max) for n in range(1, n_max + 1)}
         for n in range(1, n_max + 1):
@@ -193,7 +161,7 @@ def _check_single_lane(s_max, m_max, tables) -> IdentityReport:
     with k squares is C(m - (s-1)k, k) and the row sums satisfy
     a(m) = a(m-1) + a(m-s).
     """
-    report = IdentityReport("single-lane closed forms")
+    report = IdentityReport("single-lane closed forms", [])
     for s in range(1, s_max + 1):
         lane = tables(s, s, m_max)
         sums = [t.row_sum for t in lane]
@@ -231,7 +199,7 @@ def _check_subwidth(s_max, n_max, m_max, tables) -> IdentityReport:
     tiling of the s x m strip plus an independent choice of n - s + 1
     vertical offsets per square: counts pick up the factor (n-s+1)^k.
     """
-    report = IdentityReport("subwidth product structure")
+    report = IdentityReport("subwidth product structure", [])
     for s in range(1, s_max + 1):
         base = tables(s, s, m_max)
         for n in range(s, min(2 * s - 1, n_max) + 1):
@@ -255,7 +223,7 @@ def _check_two_s_square(s_max, tables) -> IdentityReport:
     (1, (s+1)^2, 2s(s+2), 4s, 1): the four maximal packings collapse to
     one, and the lower coefficients come from counting the free corners.
     """
-    report = IdentityReport("2s x 2s square boards")
+    report = IdentityReport("2s x 2s square boards", [])
     for s in range(1, s_max + 1):
         expected = (1, (s + 1) ** 2, 2 * s * (s + 2), 4 * s, 1)
         report.add(
@@ -279,7 +247,7 @@ def _check_conjectures(tables, oracle_cell_cap, oracle) -> IdentityReport:
     many cells is also recounted as the last table of one ``oracle`` pass:
     m = 2s+1 or 2s+2 rows of width 2s.
     """
-    report = IdentityReport("conjectured near-square count vectors")
+    report = IdentityReport("conjectured near-square count vectors", [])
     patterns = (
         # (identity, sizes, columns past 2s, conjectured vector)
         ("near_square_counts", (2, 3, 4), 1,

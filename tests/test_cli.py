@@ -305,12 +305,62 @@ def test_verify_json(capsys):
 
 def test_failed_verification_exits_1(capsys, monkeypatch):
     # 1 is kept for a failed check; usage errors and caps exit 2
-    report = IdentityReport("rigged")
+    report = IdentityReport("rigged", [])
     report.add("one_is_two", {}, 1, 2)
     monkeypatch.setattr(cli, "run_verification", lambda **kwargs: [report])
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert out.endswith("\n1 enforced checks: FAILURES above\n")
+
+
+def test_failing_check_is_rendered(capsys, monkeypatch):
+    report = IdentityReport("demo", [])
+    report.add("always_one", {"s": 2}, 1, 1)
+    report.add("broken", {"s": 2, "n": 3}, (1, 2), (1, 3))
+    report.add("side_note", {"s": 2}, True, False, informational=True)
+    monkeypatch.setattr(cli, "run_verification", lambda **kwargs: [report])
+    code, text, _ = run(capsys, "verify")
+    assert code == 1
+    assert text.splitlines()[0] == "[FAIL] demo: 2 checks"
+    assert "FAIL broken [s=2 n=3]: expected (1, 2), got (1, 3)" in text
+    assert "note side_note [s=2]: does not hold (informational)" in text
+
+
+def test_report_json_shape(capsys, monkeypatch):
+    report = IdentityReport("demo", [])
+    report.add("x", {"s": 1}, (1, 2), (1, 2))
+    monkeypatch.setattr(cli, "run_verification", lambda **kwargs: [report])
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)["reports"][0]
+    assert payload["name"] == "demo"
+    assert payload["passed"] is True
+    assert payload["checks"][0] == {
+        "identity": "x",
+        "params": {"s": 1},
+        "expected": [1, 2],
+        "actual": [1, 2],
+        "ok": True,
+        "informational": False,
+    }
+
+
+# SHA-256 of verify's stdout, so that a change to either report format shows
+VERIFY_DIGESTS = {
+    (): "82542a2646d61bc44911c4e15e20c53b20f77e0eb68f26421ddbf3b93a2256b5",
+    ("--format", "json"): "58bf1bf6bcabbfbd4ef3208461ed3f2d8811f579ec950ed1cbbb90996e088f7e",
+    # the one grid of these with note lines
+    ("--s-max", "1", "--m-max", "3"):
+        "262b96e7a5d5b7babee20f05fa955c3210f180ea38c746539f42de90595b2f93",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS),
+                         ids=lambda argv: " ".join(argv) or "default")
+def test_verify_stdout_is_pinned(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
 def _checks_sha256(checks):
@@ -375,6 +425,8 @@ def test_unknown_subcommand_exits_2(capsys):
         pytest.param('main(["table", "--s", "2", "--n", "3", "--m-max", "4", '
                      '"--format", "csv"])',
                      {"cli", "engine", "series"}, id="table-csv"),
+        pytest.param('main(["verify", "--s-max", "1", "--n-max", "2", "--m-max", "2"])',
+                     {"cli", "engine", "identities", "oracle", "series"}, id="verify"),
     ],
 )
 def test_cli_loads_only_what_the_command_runs(call, package_modules):
