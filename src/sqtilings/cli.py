@@ -24,7 +24,6 @@ counts and ``identities`` only checks.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from contextlib import nullcontext
 
@@ -32,22 +31,19 @@ from . import __version__
 from .engine import DEFAULT_CELL_CAP, CapExceeded, enumerate_states
 
 
-def _on_first_call(module: str, name: str):
-    """Stand-in for ``module.name`` that imports ``module`` when first called.
+# gf and verify call their module's entry point through these, which import
+# it when called, so no other command loads it; as attributes of this module,
+# a test or a tracer can replace them like any other function.
+def generating_function(edges):
+    from .gfun import generating_function
 
-    The commands call through the stand-in, a module attribute of its own,
-    so a test or a tracer can replace it like any other function.
-    """
-
-    def call(*args, **kwargs):
-        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
+    return generating_function(edges)
 
 
-generating_function = _on_first_call(".gfun", "generating_function")
-run_verification = _on_first_call(".identities", "run_verification")
+def run_verification(s_max, n_max, m_max, oracle_cell_cap):
+    from .identities import run_verification
+
+    return run_verification(s_max, n_max, m_max, oracle_cell_cap)
 
 
 def _render_tables(tables, fmt: str) -> str:

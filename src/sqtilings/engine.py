@@ -58,6 +58,8 @@ DEFAULT_CELL_CAP = 64
 # Budgets on cost, not options: the transitions the front search builds
 # (s = 2, n = 22 builds 1 182 925) and the big-int word operations a sweep
 # is estimated to need (s = 2, n = 8 to length 1000 needs about 3.3e9).
+# The s = 1 graph is charged as one sweep step before it is built, which
+# admits widths up to about 8 600.
 TRANSITION_BUDGET = 2_000_000
 SWEEP_BUDGET = 10**10
 
@@ -71,6 +73,32 @@ class CapExceeded(RuntimeError):
         super().__init__(message)
         self.need = need
         self.cap = cap
+
+
+def _sweep_words(s, n, steps, edges, rho):
+    """Estimated 64-bit word operations of a sweep of ``steps`` transfer
+    steps over ``edges`` edges (:mod:`sqtilings.series`), in closed form.
+
+    Step j does one shift-and-add per edge, on at least one word.  Its
+    packed ints hold at most n*j // s^2 + 1 slots (the area bound) of at
+    most j*b + 1 bits, with b = ceil(log2 rho): rho, the largest summed
+    multiplicity into a state, bounds each step's growth of the t = 1
+    values that set the slot width.
+    """
+    b = (rho - 1).bit_length()
+    sq = s * s
+    sum1 = steps * (steps + 1) // 2  # sum of j over the steps
+    sum2 = sum1 * (2 * steps + 1) // 3  # sum of j^2
+    # sum over j of (n*j/sq + 1) * (b*j + 1), times sq
+    bits = n * b * sum2 + (n + b * sq) * sum1 + sq * steps
+    return edges * (steps + bits // (64 * sq))
+
+
+def _charge_sweep(s, n, steps, edges, rho):
+    need = _sweep_words(s, n, steps, edges, rho)
+    if need > SWEEP_BUDGET:
+        raise CapExceeded(f"sweep of {steps} steps needs about {need} word "
+                          f"operations, budget is {SWEEP_BUDGET}", need, SWEEP_BUDGET)
 
 
 def transitions(heights: tuple, s: int) -> list:
@@ -195,7 +223,10 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
     if s == 1:
         # every lane is always flat and every advance returns to the flat
         # front, so the 2^n placement sets aggregate to binomials, each
-        # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1)
+        # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1).  They
+        # hold about n^2 bits, so one sweep step over the n + 1 edges,
+        # whose multiplicities sum to 2^n, is charged before they are built
+        _charge_sweep(s, n, 1, n + 1, 1 << n)
         binomials = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
         row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))

@@ -27,6 +27,7 @@ and any factor order inside a term, so ``-t^2*z^3`` is fine.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from math import gcd
 
 # ---------------------------------------------------------------------------
@@ -151,28 +152,17 @@ class BiPoly:
         return f"BiPoly({self.render()})"
 
 
-class PolyT:
-    """Read-only polynomial in t: one series coefficient of a generating function."""
+class PolyT(namedtuple("PolyT", "coeffs", defaults=({},))):
+    """Read-only polynomial in t: one series coefficient of a generating function.
 
-    __slots__ = ("coeffs",)
+    coeffs maps each exponent of t to its nonzero coefficient.
+    """
 
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = coeffs if coeffs else {}
+    __slots__ = ()
 
     def as_list(self) -> list:
         """Coefficients c0 .. c_deg, trailing zeros trimmed."""
         return [self.coeffs.get(k, 0) for k in range(max(self.coeffs, default=-1) + 1)]
-
-    def __eq__(self, other):
-        return isinstance(other, PolyT) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def render(self) -> str:
-        return _render_terms({(0, k): c for k, c in self.coeffs.items()})
-
-    def __repr__(self):
-        return f"PolyT({self.render()})"
 
 
 class RatFun:

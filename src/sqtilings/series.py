@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .engine import SWEEP_BUDGET, CapExceeded, enumerate_states
+from .engine import _charge_sweep, enumerate_states
 
 
 class CountTable(namedtuple("CountTable", "s n m counts")):
@@ -70,10 +70,6 @@ def _packed_sweep(s, n, m_max):
     """
     if m_max < 0:
         raise ValueError("board length must be >= 0")
-    if s == 1:
-        # the one state has n + 1 edges whose multiplicities C(n, k) sum to
-        # 2^n, so the sweep is charged before its binomials (about n^2 bits)
-        _charge_sweep(s, n, m_max, n + 1, 1 << n)
     graph = enumerate_states(s, n)
     # edges grouped by k, so each source is shifted once per k
     by_k = []
@@ -103,31 +99,6 @@ def _packed_sweep(s, n, m_max):
         for _ in range(steps):
             vec = _step(vec, by_k, 8 * width)
             yield vec[0], width
-
-
-def _sweep_words(s, n, steps, edges, rho):
-    """Estimated 64-bit word operations of a sweep, in closed form.
-
-    Step j does one shift-and-add per edge, on at least one word.  Its
-    packed ints hold at most n*j // s^2 + 1 slots (the area bound) of at
-    most j*b + 1 bits, with b = ceil(log2 rho): rho, the largest summed
-    multiplicity into a state, bounds each step's growth of the t = 1
-    values that set the slot width.
-    """
-    b = (rho - 1).bit_length()
-    sq = s * s
-    sum1 = steps * (steps + 1) // 2  # sum of j over the steps
-    sum2 = sum1 * (2 * steps + 1) // 3  # sum of j^2
-    # sum over j of (n*j/sq + 1) * (b*j + 1), times sq
-    bits = n * b * sum2 + (n + b * sq) * sum1 + sq * steps
-    return edges * (steps + bits // (64 * sq))
-
-
-def _charge_sweep(s, n, steps, edges, rho):
-    need = _sweep_words(s, n, steps, edges, rho)
-    if need > SWEEP_BUDGET:
-        raise CapExceeded(f"sweep of {steps} steps needs about {need} word "
-                          f"operations, budget is {SWEEP_BUDGET}", need, SWEEP_BUDGET)
 
 
 def _flat_entry_sweep(s, n, m_max):

@@ -192,9 +192,12 @@ def test_verify_state_cap_exit_code(capsys, monkeypatch):
         (["table", "--s", "3", "--n", "99999999999", "--m", "1"], SWEEP_BUDGET),
         (["gf", "--s", "2", "--n", "40"], TRANSITION_BUDGET),
         (["square", "--s", "2", "--size-max", "100000"], TRANSITION_BUDGET),
-        # at s = 1 the budget is charged before the binomials, about n^2 bits
+        # every command charges the s = 1 graph before its binomials, about
+        # n^2 bits, are built
         (["table", "--s", "1", "--n", "100000", "--m-max", "1"], SWEEP_BUDGET),
         (["square", "--s", "1", "--size-max", "100000"], SWEEP_BUDGET),
+        (["gf", "--s", "1", "--n", "100000"], SWEEP_BUDGET),
+        (["cas", "--s", "1", "--n", "100000"], SWEEP_BUDGET),
     ],
 )
 def test_over_budget_runs_exit_2_at_once(capsys, argv, budget):

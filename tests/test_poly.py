@@ -83,11 +83,6 @@ def test_polyt_list_round_trip():
     assert PolyT({}).as_list() == []
 
 
-def test_polyt_render():
-    assert PolyT({0: 1, 1: 2, 2: 1}).render() == "1 + 2*t + t^2"
-    assert PolyT().render() == "0"
-
-
 # ---------------------------------------------------------------------------
 # RatFun
 

@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqtilings import engine, series
-from sqtilings.engine import SWEEP_BUDGET, CapExceeded, enumerate_states, transitions
+from sqtilings import engine
+from sqtilings.engine import (
+    SWEEP_BUDGET,
+    CapExceeded,
+    _sweep_words,
+    enumerate_states,
+    transitions,
+)
 from sqtilings.series import (
     CountTable,
     _flat_entry_sweep,
     _packed_sweep,
-    _sweep_words,
     count_table,
     count_tables,
 )
@@ -261,9 +266,9 @@ def test_sweep_estimate_calibration():
 
 def test_sweep_budget_admits_its_own_estimate(monkeypatch):
     need = sweep_words(2, 3, 5)
-    monkeypatch.setattr(series, "SWEEP_BUDGET", need)
+    monkeypatch.setattr(engine, "SWEEP_BUDGET", need)
     assert count_table(2, 3, 5).counts == (1, 8, 12)
-    monkeypatch.setattr(series, "SWEEP_BUDGET", need - 1)
+    monkeypatch.setattr(engine, "SWEEP_BUDGET", need - 1)
     with pytest.raises(CapExceeded) as err:
         count_table(2, 3, 5)
     assert (err.value.need, err.value.cap) == (need, need - 1)
@@ -288,20 +293,30 @@ def test_sweep_budget_refuses_before_the_first_step(monkeypatch, sweep):
 
 
 @pytest.mark.parametrize(
-    "sweep",
+    "build",
     [
         lambda: count_tables(1, 100000, 1),
         lambda: count_table(1, 100000, 100000),
+        lambda: enumerate_states(1, 100000),
     ],
 )
-def test_unit_square_sweep_budget_refuses_before_enumeration(monkeypatch, sweep):
-    # the s = 1 graph's sizes are known in closed form; building its
-    # binomials alone would take about 0.9 GB
-    def enumerate_states(s, n):
-        raise AssertionError("enumerated a graph past the sweep budget")
+def test_unit_square_sweep_budget_refuses_before_enumeration(monkeypatch, build):
+    # the s = 1 graph is charged one sweep step before its binomials are
+    # built, which alone would take about 0.9 GB; they are built by
+    # accumulate, so the graph is refused before any of them exists
+    def accumulate(*args, **kwargs):
+        raise AssertionError("built the binomials of a graph past the sweep budget")
 
-    monkeypatch.setattr(series, "enumerate_states", enumerate_states)
+    monkeypatch.setattr(engine, "accumulate", accumulate)
     with pytest.raises(CapExceeded) as err:
-        sweep()
+        build()
     assert err.value.need > SWEEP_BUDGET
     assert f"budget is {SWEEP_BUDGET}" in str(err.value)
+
+
+def test_unit_square_graph_is_admitted_to_width_8600():
+    # one sweep step over n + 1 edges, about n^3 / 64 words
+    assert enumerate_states(1, 8600).edges[0][-1] == (0, 8600, 1)
+    with pytest.raises(CapExceeded) as err:
+        enumerate_states(1, 8700)
+    assert err.value.need == 10_292_665_229
