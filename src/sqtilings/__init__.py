@@ -30,7 +30,6 @@ _EXPORTS = {
         "enumerate_states",
     ),
     "gfun": (
-        "EliminationError",
         "emit_cas_script",
         "generating_function",
         "parse_cas_script",

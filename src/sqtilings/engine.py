@@ -46,6 +46,7 @@ fronts gives.  At s = 2 the classes are already the quotient: n = 14 has
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate, groupby
 from math import prod
 
@@ -94,11 +95,11 @@ def _sweep_words(s, n, steps, edges, rho):
     return edges * (steps + bits // (64 * sq))
 
 
-def _charge_sweep(s, n, steps, edges, rho):
+def _charge_sweep(what, s, n, steps, edges, rho):
     need = _sweep_words(s, n, steps, edges, rho)
     if need > SWEEP_BUDGET:
-        raise CapExceeded(f"sweep of {steps} steps needs about {need} word "
-                          f"operations, budget is {SWEEP_BUDGET}", need, SWEEP_BUDGET)
+        raise CapExceeded(f"{what} needs about {need} word operations, "
+                          f"budget is {SWEEP_BUDGET}", need, SWEEP_BUDGET)
 
 
 def transitions(heights: tuple, s: int) -> list:
@@ -184,7 +185,7 @@ def _advance_class(front: tuple, s: int) -> tuple:
     return min(raised, raised[::-1])
 
 
-class TransferGraph:
+class TransferGraph(namedtuple("TransferGraph", "s n states edges")):
     """The lumped transfer graph of fixed (s, n).
 
     Each state is one block of the coarsest exact lumping of the reachable
@@ -195,13 +196,7 @@ class TransferGraph:
     states[src] into block dst, anchoring k squares each.
     """
 
-    __slots__ = ("s", "n", "states", "edges")
-
-    def __init__(self, s, n, states, edges):
-        self.s = s
-        self.n = n
-        self.states = states
-        self.edges = edges
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -226,7 +221,7 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
         # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1).  They
         # hold about n^2 bits, so one sweep step over the n + 1 edges,
         # whose multiplicities sum to 2^n, is charged before they are built
-        _charge_sweep(s, n, 1, n + 1, 1 << n)
+        _charge_sweep(f"s = 1 graph of width {n}", s, n, 1, n + 1, 1 << n)
         binomials = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
         row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))

@@ -56,10 +56,6 @@ from .engine import DIM_CAP, CapExceeded
 from .poly import BiPoly, PolyT, RatFun
 
 
-class EliminationError(RuntimeError):
-    """The linear system degenerated; impossible for well-formed transfer graphs."""
-
-
 def generating_function(edges) -> RatFun:
     """Head component of (I - M)^-1 e0 by fraction-free elimination.
 
@@ -77,9 +73,13 @@ def generating_function(edges) -> RatFun:
     # every entry of M carries a factor z, so the diagonal's 1 never cancels
     rows: dict = {i: {i: {0: 1}} for i in range(dim)}
     for src, lst in enumerate(edges):
+        slots: dict = {}  # dst -> {k: summed mult}
         for dst, k, mult in lst:
-            terms = rows[dst].setdefault(src, {})
-            terms[1] = terms.get(1, 0) - (mult << k * bits)
+            acc = slots.setdefault(dst, {})
+            acc[k] = acc.get(k, 0) + mult
+        # each summed mult is below the Hadamard bound, so it fits its slot
+        for dst, acc in slots.items():
+            rows[dst].setdefault(src, {})[1] = -_pack_t(acc, bits)
     rows[0][rhs] = {0: 1}
 
     pivots = [{0: 1}]
@@ -112,7 +112,7 @@ def generating_function(edges) -> RatFun:
             default=None,
         )
         if best is None:
-            raise EliminationError("no pivot available, system is singular")
+            raise RuntimeError("no pivot available, system is singular")
         r, c = best[2:]
 
         catch_up(r, step - 1)
@@ -143,7 +143,7 @@ def generating_function(edges) -> RatFun:
     row = rows[last]
     den = row.get(0)
     if not den:
-        raise EliminationError("head variable dropped out, system is singular")
+        raise RuntimeError("head variable dropped out, system is singular")
     return RatFun(
         BiPoly(_unpack_t(row.get(rhs, {}), bits)), BiPoly(_unpack_t(den, bits))
     )
@@ -215,22 +215,33 @@ def _slot_bits(edges) -> int:
     return ((h2 - 1).bit_length() + 1) // 2 + 2
 
 
+def _pack_t(slots: dict, bits: int) -> int:
+    """The t-polynomial {k: c}, every 0 <= c < 2^bits, evaluated at t = 2^bits.
+
+    The slots are written into one binary rendering, in time linear in its
+    length; shifting and adding them one by one takes quadratic time.
+    """
+    return int("".join(format(slots.get(k, 0), f"0{bits}b")
+                       for k in range(max(slots), -1, -1)), 2)
+
+
 def _unpack_t(terms: dict, bits: int) -> dict:
     """(z, t) term map of a z-term map evaluated at t = 2^bits.
 
     The slot of t^k holds a coefficient c with -2^(bits-1) <= c < 2^(bits-1).
+    Adding 2^(bits-1) to every slot leaves c + 2^(bits-1) in each with no
+    carries, so every slot is read from one binary rendering of the sum.
     """
     out = {}
     half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
     for z, value in terms.items():
-        k = 0
-        while value:
-            c = ((value + half) & mask) - half
+        # value's balanced slots, with room to spare: the extra slots read 0
+        slots = abs(value).bit_length() // bits + 2
+        text = format(value + int(f"{half:b}" * slots, 2), f"0{slots * bits}b")
+        for k, lo in enumerate(range((slots - 1) * bits, -1, -bits)):
+            c = int(text[lo:lo + bits], 2) - half
             if c:
                 out[(z, k)] = c
-            value = (value - c) >> bits
-            k += 1
     return out
 
 

@@ -66,11 +66,6 @@ def _table(s: int, n: int, m: int, packed: int, size: int) -> CountTable:
         int.from_bytes(data[lo:lo + size], "little")
         for lo in range(0, len(data), size)
     ]
-    if len(counts) > n * m // (s * s) + 1:
-        raise RuntimeError(
-            f"{n} x {m} board: {len(counts) - 1} squares of side {s} "
-            "exceed the area bound"
-        )
     return CountTable(s, n, m, tuple(counts))
 
 

@@ -35,11 +35,18 @@ class CountTable(namedtuple("CountTable", "s n m counts")):
     """Tiling counts of one n x m board, indexed by number of squares used.
 
     counts[k] is exact and arbitrary precision; trailing zero entries are
-    trimmed, so the last entry is the largest k any tiling achieves (the
-    area bound floor(n*m / s^2) is an upper limit, not always attained).
+    trimmed, so the last entry is the largest k any tiling achieves.  The
+    area bound floor(n*m / s^2) is an upper limit, not always attained; a
+    table with an entry past it is refused with RuntimeError.
     """
 
     __slots__ = ()
+
+    def __new__(cls, s, n, m, counts):
+        if len(counts) > n * m // (s * s) + 1:
+            raise RuntimeError(f"{n} x {m} board: {len(counts) - 1} squares "
+                               f"of side {s} exceed the area bound")
+        return super().__new__(cls, s, n, m, counts)
 
     @property
     def row_sum(self) -> int:
@@ -80,7 +87,8 @@ def _packed_sweep(s, n, m_max):
             groups.setdefault(k, []).append((dst, mult))
             into[dst] += mult
         by_k.append(tuple(groups.items()))
-    _charge_sweep(s, n, m_max, sum(map(len, graph.edges)), max(into))
+    _charge_sweep(f"sweep of {m_max} steps", s, n, m_max, sum(map(len, graph.edges)),
+                  max(into))
     ones = [1] + [0] * (graph.dim - 1)  # each state's polynomial at t = 1
     vec = list(ones)  # each state's polynomial, packed
     width = 1  # bytes per slot
@@ -137,13 +145,8 @@ def _unpack(x: int, width: int) -> dict:
 
 def _table(s: int, n: int, m: int, poly: dict) -> CountTable:
     """The n x m board's table from its flat-front t-polynomial."""
-    top = max(poly)
-    if top > (n * m) // (s * s):
-        raise RuntimeError(
-            f"{n} x {m} board: {top} squares of side {s} exceed the area bound"
-        )
     # poly holds only positive counts, so this ends on a nonzero entry
-    return CountTable(s, n, m, tuple(poly.get(k, 0) for k in range(top + 1)))
+    return CountTable(s, n, m, tuple(poly.get(k, 0) for k in range(max(poly) + 1)))
 
 
 def count_tables(s: int, n: int, m_max: int) -> list:

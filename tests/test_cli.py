@@ -210,6 +210,14 @@ def test_over_budget_runs_exit_2_at_once(capsys, argv, budget):
     assert err.endswith(f"budget is {budget}\n")
 
 
+def test_unit_square_refusal_names_the_graph(capsys):
+    # gf runs no sweep: the refusal names the s = 1 graph it would build
+    code, _, err = run(capsys, "gf", "--s", "1", "--n", "100000")
+    assert code == 2
+    assert err.startswith("error: s = 1 graph of width 100000 needs about ")
+    assert err.endswith(f" word operations, budget is {SWEEP_BUDGET}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -60,6 +60,11 @@ def test_states_width_four_discovery_order():
     )
 
 
+def test_graphs_compare_by_value():
+    assert enumerate_states(2, 4) == enumerate_states(2, 4)
+    assert enumerate_states(2, 4) != enumerate_states(2, 5)
+
+
 def test_single_column_square_collapses_to_binomials():
     for n in (1, 3, 6):
         g = enumerate_states(1, n)

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from sqtilings.engine import CapExceeded, enumerate_states
 from sqtilings.gfun import (
     _cross_terms,
     _exact_div,
+    _pack_t,
     _slot_bits,
     _unpack_t,
     emit_cas_script,
@@ -19,7 +21,7 @@ from sqtilings.gfun import (
     parse_cas_script,
     series_expand,
 )
-from sqtilings.poly import RatFun
+from sqtilings.poly import BiPoly, RatFun
 from sqtilings.series import count_table
 
 
@@ -161,10 +163,28 @@ def _slotted(draw):
 @example((8, [0, 5, 0, -128]), 0)  # zero slots and a negative top slot
 @example((3, [-1]), 2)
 @example((5, []), 1)
+@example((2, [-2, -2, 1]), 0)  # 6: three slots from a 3-bit value
 def test_signed_slots_round_trip(case, z):
     bits, coeffs = case
     value = sum(c << k * bits for k, c in enumerate(coeffs))
     assert _unpack_t({z: value}, bits) == {(z, k): c for k, c in enumerate(coeffs) if c}
+
+
+@given(st.integers(1, 70).flatmap(
+    lambda bits: st.tuples(st.just(bits), st.dictionaries(
+        st.integers(0, 12), st.integers(0, (1 << bits) - 1), min_size=1))))
+def test_packed_slots_are_shifted_sums(case):
+    bits, slots = case
+    assert _pack_t(slots, bits) == sum(c << k * bits for k, c in slots.items())
+
+
+def test_unit_square_gf_is_a_binomial_power():
+    # one state whose n + 1 edges pack into, and unpack from, one entry
+    # of 601 slots: 1 / (1 - z*(1 + t)^600)
+    n = 600
+    den = {(0, 0): 1, **{(1, k): -comb(n, k) for k in range(n + 1)}}
+    expected = RatFun(BiPoly({(0, 0): 1}), BiPoly(den))
+    assert generating_function(enumerate_states(1, n).edges) == expected
 
 
 # the elimination's term maps: z exponent -> coefficient, which holds the
@@ -326,6 +346,8 @@ def test_cas_parser_sums_like_terms():
     assert parse_cas_script(
         "eq_0 := x0 = 1 + z*x1;\neq_1 := x1 = (2*z*t)*x0 + z*x1 - z*x1;"
     ) == (((1, 1, 2),), ((0, 0, 1),))
+    # a bare unknown has coefficient 1, so it cancels against -1*x0
+    assert parse_cas_script("eq_0 := x0 = 1 + x0 - 1*x0 + z*x0;") == (((0, 0, 1),),)
 
 
 def test_cas_parser_rejects_malformed_scripts():
@@ -338,7 +360,7 @@ def test_cas_parser_rejects_malformed_scripts():
     for script in ("eq_0 := x0 = 1 + z*x7;\n", "eq_0 := x0 = 1 + z*x1;\n"):
         with pytest.raises(ValueError):
             parse_cas_script(script)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"do not define x0 \.\. x1 once each"):
         parse_cas_script("eq_0 := x0 = 1 + z*x0;\neq_0 := x0 = z*x0;\n")
     # an entry of M is a sum of positive multiples of z*t^k, nothing else
     for body in ("1 + x0", "1 - z*x0", "1 + z^2*x0", "1 + 1 + z*x0"):

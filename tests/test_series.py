@@ -244,6 +244,12 @@ def test_count_table_is_value_object():
         a.counts = ()
 
 
+def test_count_table_refuses_counts_past_the_area_bound():
+    # a 2 x 2 board holds at most one square of side 2
+    with pytest.raises(RuntimeError, match="2 squares of side 2 exceed the area bound"):
+        CountTable(2, 2, 2, (1, 1, 1))
+
+
 def sweep_words(s, n, steps):
     graph = enumerate_states(s, n)
     into = [0] * graph.dim
