@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for usage
 errors (an ``--out`` file that cannot be written among them) and for runs
-past a cap or budget.  The state and dimension caps and the transition
-and sweep budgets are constants in :mod:`sqtilings.engine`; the oracle's
-cell cap, ``verify --oracle-cap``, is the one limit that is an option.
+past a cap or budget, each worded by ``engine.charge``.  The state and
+dimension caps and the transition, sweep and table budgets are constants
+in :mod:`sqtilings.engine`; the oracle's cell cap, ``verify
+--oracle-cap``, is the one limit that is an option.
 
 A run loads only the modules its subcommand calls: ``gf`` never imports
 ``series``, ``identities`` or ``oracle``, and ``table`` never imports

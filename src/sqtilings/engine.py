@@ -57,12 +57,14 @@ STATE_CAP = 100_000
 DIM_CAP = 400
 DEFAULT_CELL_CAP = 64
 # Budgets on cost, not options: the transitions the front search builds
-# (s = 2, n = 22 builds 1 182 925) and the big-int word operations a sweep
-# is estimated to need (s = 2, n = 8 to length 1000 needs about 3.3e9).
+# (s = 2, n = 22 builds 1 182 925), the big-int word operations a sweep
+# is estimated to need (s = 2, n = 8 to length 1000 needs about 3.3e9) and
+# the bits of the tables count_tables keeps (estimated at 2.7e9 there).
 # The s = 1 graph is charged as one sweep step before it is built, which
 # admits widths up to about 8 600.
 TRANSITION_BUDGET = 2_000_000
 SWEEP_BUDGET = 10**10
+TABLE_BUDGET = 4 * 10**9
 
 # FrontState is a plain tuple of lane overhangs, e.g. (1, 1, 0) for s=2, n=3.
 
@@ -76,30 +78,37 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _sweep_words(s, n, steps, edges, rho):
-    """Estimated 64-bit word operations of a sweep of ``steps`` transfer
-    steps over ``edges`` edges (:mod:`sqtilings.series`), in closed form.
+def charge(what: str, need: int, limit: int) -> None:
+    """Refuse a run whose ``need`` passes ``limit``; every cap and budget is
+    checked here.  ``what`` names the amount with its unit, and says when
+    ``need`` is an estimate or a lower bound."""
+    if need > limit:
+        raise CapExceeded(f"{what}: {need}, over the limit of {limit}", need, limit)
 
-    Step j does one shift-and-add per edge, on at least one word.  Its
-    packed ints hold at most n*j // s^2 + 1 slots (the area bound) of at
-    most j*b + 1 bits, with b = ceil(log2 rho): rho, the largest summed
-    multiplicity into a state, bounds each step's growth of the t = 1
-    values that set the slot width.
+
+def _sweep_bits(s, n, steps, rho):
+    """Estimated bits of a state's packed polynomials summed over the steps
+    1 .. ``steps`` of a sweep (:mod:`sqtilings.series`), in closed form.
+
+    Step j's packed int holds at most n*j // s^2 + 1 slots (the area bound)
+    of at most j*b + 1 bits, with b = ceil(log2 rho): rho, the largest
+    summed multiplicity into a state, bounds each step's growth of the
+    t = 1 values that set the slot width.
     """
     b = (rho - 1).bit_length()
     sq = s * s
     sum1 = steps * (steps + 1) // 2  # sum of j over the steps
     sum2 = sum1 * (2 * steps + 1) // 3  # sum of j^2
-    # sum over j of (n*j/sq + 1) * (b*j + 1), times sq
-    bits = n * b * sum2 + (n + b * sq) * sum1 + sq * steps
-    return edges * (steps + bits // (64 * sq))
+    # sum over j of (n*j/sq + 1) * (b*j + 1)
+    return (n * b * sum2 + (n + b * sq) * sum1 + sq * steps) // sq
 
 
-def _charge_sweep(what, s, n, steps, edges, rho):
-    need = _sweep_words(s, n, steps, edges, rho)
-    if need > SWEEP_BUDGET:
-        raise CapExceeded(f"{what} needs about {need} word operations, "
-                          f"budget is {SWEEP_BUDGET}", need, SWEEP_BUDGET)
+def _sweep_words(s, n, steps, edges, rho):
+    """Estimated 64-bit word operations of a sweep of ``steps`` transfer
+    steps over ``edges`` edges: one shift-and-add per edge and step, on at
+    least one word and on the packed int :func:`_sweep_bits` sizes.
+    """
+    return edges * (steps + _sweep_bits(s, n, steps, rho) // 64)
 
 
 def transitions(heights: tuple, s: int) -> list:
@@ -143,7 +152,7 @@ def _run_sets(s: int, n: int) -> list:
     a = [1] * min(s, n + 1)
     while len(a) <= n and a[-1] <= TRANSITION_BUDGET:
         a.append(a[-1] + a[-s])
-    _charge_transitions(a[-1])
+    charge("lower bound on the transitions of the front search", a[-1], TRANSITION_BUDGET)
     return a
 
 
@@ -155,12 +164,6 @@ def _transition_count(front: tuple, sets: list) -> int:
     """
     runs = groupby(front, bool)  # maximal runs of flat and of raised lanes
     return prod(sets[len(list(run))] for raised, run in runs if not raised)
-
-
-def _charge_transitions(need: int) -> None:
-    if need > TRANSITION_BUDGET:
-        raise CapExceeded(f"front search needs at least {need} transitions, "
-                          f"budget is {TRANSITION_BUDGET}", need, TRANSITION_BUDGET)
 
 
 def _advance_class(front: tuple, s: int) -> tuple:
@@ -221,7 +224,8 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
         # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1).  They
         # hold about n^2 bits, so one sweep step over the n + 1 edges,
         # whose multiplicities sum to 2^n, is charged before they are built
-        _charge_sweep(f"s = 1 graph of width {n}", s, n, 1, n + 1, 1 << n)
+        charge(f"estimated word operations of the s = 1 graph of width {n}",
+               _sweep_words(s, n, 1, n + 1, 1 << n), SWEEP_BUDGET)
         binomials = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
         row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))
@@ -238,7 +242,8 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
         # no front has more transitions than the flat one, so only a front
         # that could pass the budget is counted before it is expanded
         if built + sets[n] > TRANSITION_BUDGET:
-            _charge_transitions(built + _transition_count(h, sets))
+            charge("lower bound on the transitions of the front search",
+                   built + _transition_count(h, sets), TRANSITION_BUDGET)
         moves = transitions(h, s)
         built += len(moves)
         agg: dict = {}
@@ -248,10 +253,8 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
                 cls = _advance_class(nxt, s)
                 j = seen.get(cls)
                 if j is None:
-                    if len(states) >= STATE_CAP:
-                        need = len(states) + 1
-                        raise CapExceeded(f"front search needs at least {need} advance "
-                                          f"classes, cap is {STATE_CAP}", need, STATE_CAP)
+                    charge("lower bound on the advance classes of the front search",
+                           len(states) + 1, STATE_CAP)
                     j = seen[cls] = len(states)
                     states.append(min(nxt, nxt[::-1]))
                 seen[nxt] = seen[nxt[::-1]] = j

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import re
 
-from .engine import DIM_CAP, CapExceeded
+from .engine import DIM_CAP, charge
 from .poly import BiPoly, PolyT, RatFun
 
 
@@ -63,9 +63,7 @@ def generating_function(edges) -> RatFun:
     of mult * z * t^k over the triples (dst, k, mult) in edges[src].
     """
     dim = len(edges)
-    if dim > DIM_CAP:
-        raise CapExceeded(f"transfer system has dimension {dim}, cap is {DIM_CAP}",
-                          dim, DIM_CAP)
+    charge("unknowns of the transfer system", dim, DIM_CAP)
     rhs = dim  # extra column index for the right-hand side e0
     bits = _slot_bits(edges)
 

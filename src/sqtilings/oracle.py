@@ -2,7 +2,7 @@
 
 This deliberately shares no counting code with the lane-based transfer
 machinery: from :mod:`sqtilings.engine` it takes only the cell cap and the
-exception that reports it.
+function that charges it.
 The board is scanned in row-major order, in one forward pass over the
 cells.  The state at cell p is the occupancy bitmask of cells p, p+1, ...
 left by the squares placed so far.  An empty cell p is covered either by a
@@ -26,7 +26,7 @@ symmetry that the transfer-matrix route uses for short boards.
 
 from __future__ import annotations
 
-from .engine import DEFAULT_CELL_CAP, CapExceeded
+from .engine import DEFAULT_CELL_CAP, charge
 from .series import CountTable
 
 
@@ -81,9 +81,7 @@ def brute_force_tables(
     if m_max < 0:
         raise ValueError("board length must be >= 0")
     cells = n * m_max
-    if cells > cell_cap:
-        raise CapExceeded(f"board has {cells} cells, oracle cap is {cell_cap}",
-                          cells, cell_cap)
+    charge(f"cells of the oracle's {n} x {m_max} board", cells, cell_cap)
     size = cells // 8 + 1  # bytes that hold cells + 1 bits
     return [
         _table(s, n, m, packed, size)

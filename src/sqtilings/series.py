@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .engine import _charge_sweep, enumerate_states
+from . import engine
+from .engine import enumerate_states
 
 
 class CountTable(namedtuple("CountTable", "s n m counts")):
@@ -47,6 +48,11 @@ class CountTable(namedtuple("CountTable", "s n m counts")):
             raise RuntimeError(f"{n} x {m} board: {len(counts) - 1} squares "
                                f"of side {s} exceed the area bound")
         return super().__new__(cls, s, n, m, counts)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     @property
     def row_sum(self) -> int:
@@ -70,10 +76,12 @@ def _step(vec, groups, slot):
     return nxt
 
 
-def _packed_sweep(s, n, m_max):
+def _packed_sweep(s, n, m_max, kept=False):
     """Yield the flat-front entry for m = 0 .. m_max as (packed int, slot bytes).
 
-    See the module docstring for the packing.
+    See the module docstring for the packing.  The sweep is charged against
+    SWEEP_BUDGET before its first step and, when the caller keeps every
+    entry's table (``kept``), those tables' bits against TABLE_BUDGET.
     """
     if m_max < 0:
         raise ValueError("board length must be >= 0")
@@ -87,8 +95,14 @@ def _packed_sweep(s, n, m_max):
             groups.setdefault(k, []).append((dst, mult))
             into[dst] += mult
         by_k.append(tuple(groups.items()))
-    _charge_sweep(f"sweep of {m_max} steps", s, n, m_max, sum(map(len, graph.edges)),
-                  max(into))
+    rho = max(into)
+    engine.charge(f"estimated word operations of a sweep of {m_max} steps",
+                  engine._sweep_words(s, n, m_max, sum(map(len, graph.edges)), rho),
+                  engine.SWEEP_BUDGET)
+    if kept:
+        # each kept table is one step's flat-front entry, unpacked
+        engine.charge(f"estimated bits of the {m_max + 1} kept tables",
+                      engine._sweep_bits(s, n, m_max, rho), engine.TABLE_BUDGET)
     ones = [1] + [0] * (graph.dim - 1)  # each state's polynomial at t = 1
     vec = list(ones)  # each state's polynomial, packed
     width = 1  # bytes per slot
@@ -114,7 +128,7 @@ def _flat_entry_sweep(s, n, m_max):
 
     Every coefficient is positive.
     """
-    return [_unpack(x, width) for x, width in _packed_sweep(s, n, m_max)]
+    return [_unpack(x, width) for x, width in _packed_sweep(s, n, m_max, kept=True)]
 
 
 def _slot_bytes(x: int, width: int) -> bytes:

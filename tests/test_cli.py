@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sqtilings import cli, engine, gfun
+from sqtilings import cli, engine, gfun, identities, oracle
 from sqtilings.cli import main
 from sqtilings.engine import SWEEP_BUDGET, TRANSITION_BUDGET
 from sqtilings.identities import IdentityReport
@@ -166,14 +166,14 @@ def test_gf_dimension_cap_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(gfun, "DIM_CAP", 33)
     code, _, err = run(capsys, "gf", "--s", "2", "--n", "10")
     assert code == 2
-    assert "dimension 34" in err
+    assert "unknowns of the transfer system: 34," in err
 
 
 def test_state_cap_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(engine, "STATE_CAP", 100)
     code, _, err = run(capsys, "table", "--s", "2", "--n", "16", "--m", "16")
     assert code == 2
-    assert "cap is 100" in err
+    assert err.endswith(", over the limit of 100\n")
 
 
 def test_verify_state_cap_exit_code(capsys, monkeypatch):
@@ -181,7 +181,7 @@ def test_verify_state_cap_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify")
     assert code == 2
     assert out == ""
-    assert "cap is 10" in err
+    assert err.endswith(", over the limit of 10\n")
     assert "Traceback" not in err
 
 
@@ -207,16 +207,70 @@ def test_over_budget_runs_exit_2_at_once(capsys, argv, budget):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-    assert err.endswith(f"budget is {budget}\n")
+    assert err.endswith(f", over the limit of {budget}\n")
 
 
 def test_unit_square_refusal_names_the_graph(capsys):
     # gf runs no sweep: the refusal names the s = 1 graph it would build
     code, _, err = run(capsys, "gf", "--s", "1", "--n", "100000")
     assert code == 2
-    assert err.startswith("error: s = 1 graph of width 100000 needs about ")
-    assert err.endswith(f" word operations, budget is {SWEEP_BUDGET}\n")
+    assert err.startswith("error: estimated word operations of the s = 1 graph of width 100000: ")
+    assert err.endswith(f", over the limit of {SWEEP_BUDGET}\n")
 
+
+
+def _oracle_capped_at(cap):
+    # verify never asks the oracle for a board past --oracle-cap, so its
+    # source is handed a lower cap than the one it was given
+    return lambda s, n, m_max, cell_cap: oracle.brute_force_tables(s, n, m_max, cap)
+
+
+@pytest.mark.parametrize(
+    "argv,patch,line",
+    [
+        (["table", "--s", "2", "--n", "3", "--m", "99999999999"], None,
+         "estimated word operations of a sweep of 99999999999 steps: "
+         "11718750000234375000301171874994, over the limit of 10000000000"),
+        (["gf", "--s", "1", "--n", "100000"], None,
+         "estimated word operations of the s = 1 graph of width 100000: "
+         "15625468853126, over the limit of 10000000000"),
+        (["gf", "--s", "2", "--n", "40"], None,
+         "lower bound on the transitions of the front search: 2178309, "
+         "over the limit of 2000000"),
+        # s = 2, n = 14 builds 5353 transitions, charged front by front
+        (["gf", "--s", "2", "--n", "14"], (engine, "TRANSITION_BUDGET", 5352),
+         "lower bound on the transitions of the front search: 5353, "
+         "over the limit of 5352"),
+        (["table", "--s", "2", "--n", "16", "--m", "16"], (engine, "STATE_CAP", 100),
+         "lower bound on the advance classes of the front search: 101, "
+         "over the limit of 100"),
+        (["gf", "--s", "2", "--n", "16"], None,
+         "unknowns of the transfer system: 438, over the limit of 400"),
+        (["verify", "--s-max", "1", "--n-max", "2", "--m-max", "3", "--oracle-cap", "16"],
+         (identities, "brute_force_tables", _oracle_capped_at(2)),
+         "cells of the oracle's 1 x 3 board: 3, over the limit of 2"),
+        # the first length refused at s = 1, n = 2
+        (["table", "--s", "1", "--n", "2", "--m-max", "1442"], None,
+         "estimated bits of the 1443 kept tables: 4006246594, "
+         "over the limit of 4000000000"),
+        # verify's grid would keep about 4.5 GB; its first tables, s = 1 and
+        # n = 1, are refused
+        (["verify", "--s-max", "2", "--n-max", "2", "--m-max", "3000"], None,
+         "estimated bits of the 3001 kept tables: 9013506500, "
+         "over the limit of 4000000000"),
+    ],
+    ids=["sweep", "unit-graph", "flat-front", "search", "state-cap", "dim-cap",
+         "oracle-cap", "table-kept", "verify-kept"],
+)
+def test_every_refusal_is_one_error_line(capsys, monkeypatch, argv, patch, line):
+    # every cap and budget is worded by engine.charge and exits 2 through
+    # cli.main's one handler, before the work it prices
+    if patch:
+        monkeypatch.setattr(*patch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {line}\n")
 
 @pytest.mark.parametrize(
     "argv",

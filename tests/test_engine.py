@@ -12,6 +12,7 @@ from sqtilings.engine import (
     DIM_CAP,
     STATE_CAP,
     SWEEP_BUDGET,
+    TABLE_BUDGET,
     TRANSITION_BUDGET,
     CapExceeded,
     _advance_class,
@@ -219,13 +220,14 @@ def test_heights_decay_by_one_per_row():
 
 
 def test_cap_defaults_are_the_documented_ones():
-    # the README quotes all five
+    # the README quotes all six
     assert STATE_CAP == 100_000
     assert DIM_CAP == 400
     assert DEFAULT_CELL_CAP == 64
     # s = 2, n = 22 builds 1 182 925 transitions, and must stay admitted
     assert TRANSITION_BUDGET == 2_000_000
     assert SWEEP_BUDGET == 10**10
+    assert TABLE_BUDGET == 4 * 10**9
 
 
 def test_state_cap(monkeypatch):
@@ -234,7 +236,7 @@ def test_state_cap(monkeypatch):
         enumerate_states(2, 16)
     assert err.value.cap == 100
     assert err.value.need == 101
-    assert "cap is 100" in str(err.value)
+    assert str(err.value).endswith(", over the limit of 100")
 
 
 def test_state_cap_of_one_admits_a_one_class_graph(monkeypatch):
@@ -285,7 +287,7 @@ def test_transition_budget_refuses_a_wide_flat_front_before_building(monkeypatch
         with pytest.raises(CapExceeded) as err:
             enumerate_states(2, n)
         assert err.value.cap == TRANSITION_BUDGET
-        assert f"budget is {TRANSITION_BUDGET}" in str(err.value)
+        assert str(err.value).endswith(f", over the limit of {TRANSITION_BUDGET}")
     assert calls == []
 
 

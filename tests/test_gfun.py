@@ -384,7 +384,7 @@ def test_gfun_imports_only_the_public_poly_types():
         and (node.level or node.module.startswith("sqtilings"))
     ]
     assert package == [
-        (1, "engine", ["DIM_CAP", "CapExceeded"]),
+        (1, "engine", ["DIM_CAP", "charge"]),
         (1, "poly", ["BiPoly", "PolyT", "RatFun"]),
     ]
     assert not any(

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from sqtilings import engine
 from sqtilings.engine import (
     SWEEP_BUDGET,
+    TABLE_BUDGET,
     CapExceeded,
+    _sweep_bits,
     _sweep_words,
     enumerate_states,
     transitions,
@@ -250,6 +252,20 @@ def test_count_table_refuses_counts_past_the_area_bound():
         CountTable(2, 2, 2, (1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CountTable(2, 2, 2, (1, 1))._replace(counts=(1, 1, 1)),
+        lambda: CountTable._make((2, 2, 2, (1, 1, 1))),
+    ],
+)
+def test_count_table_rebuilt_from_fields_keeps_the_area_bound(build):
+    # namedtuple's _make, which _replace calls, would build past __new__
+    with pytest.raises(RuntimeError, match="2 squares of side 2 exceed the area bound"):
+        build()
+    assert CountTable(2, 2, 2, (1, 1))._replace(m=3) == CountTable(2, 2, 3, (1, 1))
+
+
 def sweep_words(s, n, steps):
     graph = enumerate_states(s, n)
     into = [0] * graph.dim
@@ -268,6 +284,9 @@ def test_sweep_estimate_calibration():
     assert sweep_words(3, 9, 80) == 531_342
     # every edge costs a word on every step, even on a one-state graph
     assert _sweep_words(3, 1, 10**11, 1, 1) >= 10**11
+    # count_tables(1, 2, 1000) keeps 9.6e8 bits (238 MiB peak on a 2-core VM);
+    # its graph has one state with summed multiplicity 4 into it
+    assert _sweep_bits(1, 2, 1000, 4) == 1_337_337_000 < TABLE_BUDGET
 
 
 def test_sweep_budget_admits_its_own_estimate(monkeypatch):
@@ -278,6 +297,17 @@ def test_sweep_budget_admits_its_own_estimate(monkeypatch):
     with pytest.raises(CapExceeded) as err:
         count_table(2, 3, 5)
     assert (err.value.need, err.value.cap) == (need, need - 1)
+
+
+def test_table_budget_charges_only_kept_tables(monkeypatch):
+    monkeypatch.setattr(engine, "TABLE_BUDGET", 0)
+    with pytest.raises(CapExceeded) as err:
+        count_tables(2, 3, 5)
+    assert (err.value.need, err.value.cap) == (72, 0)
+    # one board keeps no table but its last
+    assert count_table(2, 3, 5).counts == (1, 8, 12)
+    monkeypatch.setattr(engine, "TABLE_BUDGET", 72)
+    assert count_tables(2, 3, 5)[5].counts == (1, 8, 12)
 
 
 @pytest.mark.parametrize(
@@ -295,7 +325,7 @@ def test_sweep_budget_refuses_before_the_first_step(monkeypatch, sweep):
         sweep()
     assert err.value.cap == SWEEP_BUDGET
     assert err.value.need > SWEEP_BUDGET
-    assert f"budget is {SWEEP_BUDGET}" in str(err.value)
+    assert str(err.value).endswith(f", over the limit of {SWEEP_BUDGET}")
 
 
 @pytest.mark.parametrize(
@@ -317,7 +347,7 @@ def test_unit_square_sweep_budget_refuses_before_enumeration(monkeypatch, build)
     with pytest.raises(CapExceeded) as err:
         build()
     assert err.value.need > SWEEP_BUDGET
-    assert f"budget is {SWEEP_BUDGET}" in str(err.value)
+    assert str(err.value).endswith(f", over the limit of {SWEEP_BUDGET}")
 
 
 def test_unit_square_graph_is_admitted_to_width_8600():
