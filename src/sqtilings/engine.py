@@ -261,10 +261,10 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
             key = (j, k)
             agg[key] = agg.get(key, 0) + 1
         edges.append(agg)
-    return TransferGraph(s, n, *_lump(states, edges, n // s + 1))
+    return TransferGraph(s, n, *_lump(states, edges))
 
 
-def _lump(states: list, edges: list, stride: int) -> tuple:
+def _lump(states: list, edges: list) -> tuple:
     """States and edges of the quotient by the coarsest exact lumping.
 
     ``edges[i]`` maps (dst, k) to the multiplicity of the edges of weight
@@ -272,8 +272,7 @@ def _lump(states: list, edges: list, stride: int) -> tuple:
     and every other state in one block; each round splits the blocks by
     the summed weight each state sends into each block, until a round
     splits nothing.  Blocks are numbered, and represented, by their first
-    state in discovery order.  A signature writes the pair (block, k) as
-    block * stride + k, so ``stride`` must exceed every k.
+    state in discovery order.
     """
     block = [0] + [1] * (len(states) - 1)
     count = min(len(states), 2)
@@ -283,7 +282,7 @@ def _lump(states: list, edges: list, stride: int) -> tuple:
         for i, out in enumerate(edges):
             into: dict = {}
             for (dst, k), mult in out.items():
-                key = block[dst] * stride + k
+                key = (block[dst], k)
                 into[key] = into.get(key, 0) + mult
             sig = (block[i], tuple(sorted(into.items())))
             new.append(ids.setdefault(sig, len(ids)))
@@ -298,6 +297,6 @@ def _lump(states: list, edges: list, stride: int) -> tuple:
         first.setdefault(b, i)
     reps = tuple(states[i] for i in first.values())
     quotient = tuple(
-        tuple((key // stride, key % stride, mult) for key, mult in sig[1]) for sig in ids
+        tuple((b, k, mult) for (b, k), mult in sig[1]) for sig in ids
     )
     return reps, quotient

@@ -44,8 +44,9 @@ multiply-and-exact-divide.  Pivots are kept as computed, with the
 constant 1 as the zeroth.
 
 ``emit_cas_script`` writes the same edges as a Maple-style linear system;
-``parse_cas_script`` reads such a script back into edges, so the text form
-round-trips to exactly the system it was emitted from.
+``parse_cas_script`` accepts exactly the scripts it writes and reads them
+back into edges, so the text form round-trips to exactly the system it was
+emitted from.
 """
 
 from __future__ import annotations
@@ -313,86 +314,32 @@ def emit_cas_script(edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-_EQ_RE = re.compile(r"^eq_(\d+)\s*:=\s*x(\d+)\s*=\s*(.*);$")
-_TERM_RE = re.compile(r"^(?:\(([^()]*)\)|([^()]*?))\*?x(\d+)$")
+_EQ_RE = re.compile(r"^eq_\d+ := x\d+ = (.*);$", re.MULTILINE)
+_TERM_RE = re.compile(r"(?:\(([^()]*)\)|([^ ()]+))\*x(\d+)")
 
 
 def parse_cas_script(text: str) -> tuple:
-    """Read an emitted script back into the edges of its transfer graph.
+    """Read a script that ``emit_cas_script`` wrote back into its edges.
 
-    The result equals the ``TransferGraph.edges`` the script was emitted
-    from.  The equations must define x0 .. x(dim-1) once each, and after
-    like terms are summed eq_0 must hold the constant 1, no other equation
-    a constant, and every coefficient of an unknown must be a sum of
-    positive multiples of z*t^k; anything else raises ValueError.
+    Each term mult * z^a * t^k of the coefficient of x_j in equation i is
+    the edge (i, k, mult) of column j.  The script is accepted only if every
+    x_j has an equation, every mult is positive and emitting the edges
+    gives back exactly ``text``, which rejects every other deviation: a
+    wrong z-degree, terms reordered or repeated, or a line missing or
+    added.  Anything else raises ValueError.
     """
-    sums: dict = {}  # (row, col) -> summed terms; col None for the constant
-    order = []
-    for line in text.splitlines():
-        m = _EQ_RE.match(line.strip())
-        if m is None:
-            continue
-        eq_i, var_i, body = int(m.group(1)), int(m.group(2)), m.group(3)
-        if eq_i != var_i:
-            raise ValueError(f"equation eq_{eq_i} defines x{var_i}")
-        order.append(eq_i)
-        for term in _split_sum(body):
-            tm = _TERM_RE.match(term)
-            if tm is None:
-                col, terms = None, BiPoly.parse(term).terms
-            else:
-                par, bare, j = tm.groups()
-                coeff_text = (par if par is not None else bare).rstrip("*")
-                col = int(j)
-                terms = (
-                    {(0, 0): 1} if coeff_text in ("", "+")
-                    else BiPoly.parse(coeff_text).terms
-                )
-            acc = sums.setdefault((eq_i, col), {})
-            for key, c in terms.items():
-                acc[key] = acc.get(key, 0) + c
-    dim = len(order)
-    if dim == 0:
-        raise ValueError("no equations found in script")
-    if sorted(order) != list(range(dim)):
-        raise ValueError(f"equations do not define x0 .. x{dim - 1} once each")
-    consts: dict = {}
-    edges: list = [[] for _ in range(dim)]
-    for (r, c), acc in sums.items():
-        acc = {key: v for key, v in acc.items() if v}
-        if c is None:
-            if acc:
-                consts[r] = acc
-            continue
-        if c >= dim:
-            raise ValueError("equation references an unknown outside the system")
-        for (z, k), mult in acc.items():
-            if z != 1 or mult < 0:
-                raise ValueError(
-                    f"coefficient of x{c} in eq_{r} is not a sum of positive "
-                    "multiples of z*t^k"
-                )
-            edges[c].append((r, k, mult))
-    if consts != {0: {(0, 0): 1}}:
-        raise ValueError("constant terms do not describe a head-vector system")
-    return tuple(tuple(sorted(lst)) for lst in edges)
-
-
-def _split_sum(body: str) -> list:
-    """Split an equation body on top-level +/- signs."""
-    s = "".join(body.split())
-    if not s:
-        return []
-    parts = []
-    depth = 0
-    start = 0
-    for pos, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and pos > start:
-            parts.append(s[start:pos])
-            start = pos if ch == "-" else pos + 1
-    parts.append(s[start:])
-    return [p for p in parts if p]
+    bodies = _EQ_RE.findall(text)
+    found = [
+        (int(j), row, k, mult)
+        for row, body in enumerate(bodies)
+        for par, bare, j in _TERM_RE.findall(body)
+        for (_, k), mult in BiPoly.parse(par or bare).terms.items()
+    ]
+    if bodies and all(j < len(bodies) and mult > 0 for j, _, _, mult in found):
+        cols: list = [[] for _ in bodies]
+        for j, row, k, mult in found:
+            cols[j].append((row, k, mult))
+        edges = tuple(tuple(sorted(col)) for col in cols)
+        if emit_cas_script(edges) == text:
+            return edges
+    raise ValueError("text is not a script that emit_cas_script writes")

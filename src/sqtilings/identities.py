@@ -84,9 +84,9 @@ def _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle) -> Identi
     Zero squares always one way; one square in (n-s+1)(m-s+1) ways; boards
     too small for any square have the single all-monomer tiling; boards
     with both sides multiples of s have exactly one maximal packing;
-    counts are invariant under swapping n and m.  When ``oracle_cell_cap``
-    is positive (0 turns the oracle off), the boards n x m with n <= m and
-    at most that many cells are also recounted by the exhaustive oracle:
+    counts are invariant under swapping n and m.  The boards n x m with
+    n <= m and at most ``oracle_cell_cap`` cells (none when it is 0) are
+    also recounted by the exhaustive oracle:
     one ``oracle(s, n, m_max, cell_cap)`` pass of width n per (s, n) gives
     every length.
     """
@@ -138,19 +138,18 @@ def _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle) -> Identi
                     by_n[a][b].counts,
                     by_n[b][a].counts,
                 )
-        if oracle_cell_cap:
-            for n in range(1, n_max + 1):
-                last = min(m_max, oracle_cell_cap // n)
-                if last < n:
-                    continue
-                brute = oracle(s, n, last, oracle_cell_cap)
-                for m in range(n, last + 1):
-                    report.add(
-                        "oracle_agreement",
-                        {"s": s, "n": n, "m": m},
-                        brute[m].counts,
-                        by_n[n][m].counts,
-                    )
+        for n in range(1, n_max + 1):
+            last = min(m_max, oracle_cell_cap // n)
+            if last < n:
+                continue
+            brute = oracle(s, n, last, oracle_cell_cap)
+            for m in range(n, last + 1):
+                report.add(
+                    "oracle_agreement",
+                    {"s": s, "n": n, "m": m},
+                    brute[m].counts,
+                    by_n[n][m].counts,
+                )
     return report
 
 
@@ -243,8 +242,8 @@ def _check_conjectures(tables, oracle_cell_cap, oracle) -> IdentityReport:
     (1, (s+1)(s+3), 7s^2+18s+3, 40s+8, 36).  Unproved: these checks
     confirm the instances s = 2, 3, 4 and s = 3, 4, and a failing
     instance would refute the pattern.
-    When ``oracle_cell_cap`` is positive, each board with at most that
-    many cells is also recounted as the last table of one ``oracle`` pass:
+    Each board with at most ``oracle_cell_cap`` cells is also recounted
+    as the last table of one ``oracle`` pass:
     m = 2s+1 or 2s+2 rows of width 2s.
     """
     report = IdentityReport("conjectured near-square count vectors", [])
@@ -260,7 +259,7 @@ def _check_conjectures(tables, oracle_cell_cap, oracle) -> IdentityReport:
             n, m = 2 * s, 2 * s + extra
             actual = tables(s, n, m)[m].counts
             report.add(identity, {"s": s, "n": n, "m": m}, vector(s), actual)
-            if oracle_cell_cap and n * m <= oracle_cell_cap:
+            if n * m <= oracle_cell_cap:
                 report.add(
                     "oracle_agreement",
                     {"s": s, "n": n, "m": m},

@@ -69,7 +69,7 @@ def test_graphs_compare_by_value():
 def test_single_column_square_collapses_to_binomials():
     for n in (1, 3, 6):
         g = enumerate_states(1, n)
-        assert g.dim == 1
+        assert g.states == ((0,) * n,)  # the flat front, alone in its block
         assert g.edges[0] == tuple((0, k, comb(n, k)) for k in range(n + 1))
 
 

@@ -339,17 +339,6 @@ def test_cas_round_trip_preserves_system():
         assert parse_cas_script(emit_cas_script(edges)) == edges
 
 
-def test_cas_parser_sums_like_terms():
-    # edges of s = 1, n = 2: one state, 1 + 2*t + t^2 advances
-    script = "eq_0 := x0 = 1 + z*x0 + z*t*x0 + z*t*x0 + z*t^2*x0;"
-    assert parse_cas_script(script) == (((0, 0, 1), (0, 1, 2), (0, 2, 1)),)
-    assert parse_cas_script(
-        "eq_0 := x0 = 1 + z*x1;\neq_1 := x1 = (2*z*t)*x0 + z*x1 - z*x1;"
-    ) == (((1, 1, 2),), ((0, 0, 1),))
-    # a bare unknown has coefficient 1, so it cancels against -1*x0
-    assert parse_cas_script("eq_0 := x0 = 1 + x0 - 1*x0 + z*x0;") == (((0, 0, 1),),)
-
-
 def test_cas_parser_rejects_malformed_scripts():
     with pytest.raises(ValueError):
         parse_cas_script("print(1);\n")
@@ -357,15 +346,58 @@ def test_cas_parser_rejects_malformed_scripts():
         parse_cas_script("eq_0 := x1 = 1 + z*x0;\n")
     with pytest.raises(ValueError):
         parse_cas_script("eq_0 := x0 = z*x0;\n")  # head constant missing
-    for script in ("eq_0 := x0 = 1 + z*x7;\n", "eq_0 := x0 = 1 + z*x1;\n"):
+    # the script of an empty system refers to an x0 it never defines
+    for script in (
+        "eq_0 := x0 = 1 + z*x7;\n", "eq_0 := x0 = 1 + z*x1;\n", emit_cas_script(()),
+    ):
         with pytest.raises(ValueError):
             parse_cas_script(script)
-    with pytest.raises(ValueError, match=r"do not define x0 \.\. x1 once each"):
+    with pytest.raises(
+        ValueError, match=r"^text is not a script that emit_cas_script writes$"
+    ):
         parse_cas_script("eq_0 := x0 = 1 + z*x0;\neq_0 := x0 = z*x0;\n")
     # an entry of M is a sum of positive multiples of z*t^k, nothing else
     for body in ("1 + x0", "1 - z*x0", "1 + z^2*x0", "1 + 1 + z*x0"):
         with pytest.raises(ValueError):
             parse_cas_script(f"eq_0 := x0 = {body};\n")
+    # like terms, bare unknowns and subtraction: systems emit_cas_script
+    # could write, but not in the text it writes
+    for script in (
+        "eq_0 := x0 = 1 + z*x0 + z*t*x0 + z*t*x0 + z*t^2*x0;",
+        "eq_0 := x0 = 1 + z*x1;\neq_1 := x1 = (2*z*t)*x0 + z*x1 - z*x1;",
+        "eq_0 := x0 = 1 + x0 - 1*x0 + z*x0;",
+    ):
+        with pytest.raises(ValueError):
+            parse_cas_script(script)
+
+
+def test_cas_parser_rejects_perturbed_emitted_script():
+    script = emit_cas_script(enumerate_states(3, 6).edges)
+    lines = script.splitlines(keepends=True)
+    eq_0 = lines[0]
+    assert eq_0.count(" + ") >= 3
+    head, first, second, rest = eq_0.split(" + ", 3)
+    perturbed = {
+        "terms swapped": script.replace(eq_0, " + ".join((head, second, first, rest))),
+        "term repeated": script.replace(eq_0, " + ".join((head, first, first, second, rest))),
+        "solve and print dropped": "".join(lines[:-2]),
+        "equation dropped": "".join(lines[:-3] + lines[-2:]),
+        "space before a semicolon": script.replace(";\n", " ;\n", 1),
+    }
+    for what, text in perturbed.items():
+        assert text != script, what
+        with pytest.raises(ValueError):
+            parse_cas_script(text)
+    # written the way emit_cas_script writes terms, so re-emitting gives
+    # back this very text: only the positivity check rejects it
+    negative = (
+        "eq_0 := x0 = 1 + -z*x0;\n"
+        "sol := solve({eq_0}, {x0});\n"
+        "print(normal(subs(sol, x0)));\n"
+    )
+    assert emit_cas_script((((0, 0, -1),),)) == negative
+    with pytest.raises(ValueError):
+        parse_cas_script(negative)
 
 
 def test_fixture_forms_small(gf_of, load_gf_fixture):

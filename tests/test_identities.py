@@ -130,6 +130,18 @@ def test_run_verification_bundle():
     assert all(r.passed for r in reports)
 
 
+def test_oracle_cap_zero_never_calls_the_oracle(monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError(f"oracle called with {args}")
+
+    monkeypatch.setattr(identities, "brute_force_tables", no_oracle)
+    reports = run_verification(2, 4, 4, 0)
+    assert all(r.passed for r in reports)
+    assert not any(
+        c.identity == "oracle_agreement" for r in reports for c in r.checks
+    )
+
+
 def test_run_verification_makes_one_oracle_pass_per_system(monkeypatch):
     calls = []
     tables = identities.brute_force_tables
