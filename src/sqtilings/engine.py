@@ -7,6 +7,9 @@ square still stick out past the current base line; every entry is in
 pairwise disjoint squares on runs of currently flat lanes, then reduce
 every lane's overhang by one (never below zero).  Anchoring k squares in
 one advance contributes a factor t^k, and the advance itself a factor z.
+The front search holds a front as a str of chr(overhang) per lane: anchors
+are found with ``str.find``, the row advance is one ``str.translate`` and
+each next front one splice.  ``TransferGraph.states`` holds int tuples.
 
 Mirroring the board left to right maps the front graph onto itself and
 fixes the all-flat start front, so a front and its mirror image are
@@ -25,12 +28,13 @@ W^m equals that of Q^m, and every count table and the generating function
 are the same on the quotient Q.  ``enumerate_states`` refines the mirror
 graph to the coarsest such partition by splitting blocks on those sums
 until none splits (Buchholz, *J. Appl. Prob.* 31, 1994; Derisavi,
-Hermanns and Sanders, *Inf. Process. Lett.* 87, 2003) and returns the
-quotient, 29-52 % smaller than the mirror graph on the systems the README
-lists.  A multiplicity is then any integer >= 1: the number of placement
-sets from a block's representative front that land in the target block
-with k squares.  For s = 1 every placement returns to the single flat
-front and the multiplicities are binomials.
+Hermanns and Sanders, *Inf. Process. Lett.* 87, 2003), signing no state
+that is alone in its block, and returns the quotient, 29-52 % smaller
+than the mirror graph on the systems the README lists.  A multiplicity
+is then any integer >= 1: the number of placement sets from a block's
+representative front that land in the target block with k squares.  For
+s = 1 every placement returns to the single flat front and the
+multiplicities are binomials.
 
 Before a front is expanded, ``enumerate_states`` looks up its advance
 class: the mirror-canonical form of the front with every maximal run of
@@ -46,7 +50,7 @@ fronts gives.  At s = 2 the classes are already the quotient: n = 14 has
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import accumulate, groupby
 from math import prod
 
@@ -65,8 +69,6 @@ DEFAULT_CELL_CAP = 64
 TRANSITION_BUDGET = 2_000_000
 SWEEP_BUDGET = 10**10
 TABLE_BUDGET = 4 * 10**9
-
-# FrontState is a plain tuple of lane overhangs, e.g. (1, 1, 0) for s=2, n=3.
 
 
 class CapExceeded(RuntimeError):
@@ -93,7 +95,7 @@ def _sweep_bits(s, n, steps, rho):
     Step j's packed int holds at most n*j // s^2 + 1 slots (the area bound)
     of at most j*b + 1 bits, with b = ceil(log2 rho): rho, the largest
     summed multiplicity into a state, bounds each step's growth of the
-    t = 1 values that set the slot width.
+    t = 1 values, and the sweep sets each block's slot width from it.
     """
     b = (rho - 1).bit_length()
     sq = s * s
@@ -111,7 +113,17 @@ def _sweep_words(s, n, steps, edges, rho):
     return edges * (steps + _sweep_bits(s, n, steps, rho) // 64)
 
 
-def transitions(heights: tuple, s: int) -> list:
+class _Lower(dict):
+    """``str.translate`` table of the row advance: a lane one lower, never below 0."""
+
+    def __missing__(self, c):
+        return self.setdefault(c, max(c - 1, 0))
+
+
+_LOWER = _Lower()
+
+
+def transitions(front: str, s: int) -> list:
     """All one-row advances from a front.
 
     Returns (next front, squares anchored) pairs, ordered by square count
@@ -120,15 +132,14 @@ def transitions(heights: tuple, s: int) -> list:
     lanes are flat, so after the row advance they read s - 1 and every
     other lane reads its height less one (never below zero).
     """
+    flat = "\0" * s
     free = []
-    run = 0  # flat lanes ending at lane i
-    for i, x in enumerate(heights):
-        run = 0 if x else run + 1
-        if run >= s:
-            free.append(i - s + 1)
-    base = tuple(x - 1 if x else 0 for x in heights)
-    fill = (s - 1,) * s
-    out = [(base, 0)]
+    p = front.find(flat)
+    while p >= 0:
+        free.append(p)
+        p = front.find(flat, p + 1)
+    out = [(front.translate(_LOWER), 0)]
+    fill = chr(s - 1) * s if free else ""  # asked for only where a square fits
     lasts = [-s]  # the last anchor of each set in out; none in the empty set
     # each set is one splice into the front of the set less its last
     # anchor; the loop also visits the sets it appends, and extending them
@@ -156,35 +167,31 @@ def _run_sets(s: int, n: int) -> list:
     return a
 
 
-def _transition_count(front: tuple, sets: list) -> int:
+def _transition_count(front: str, sets: list) -> int:
     """len(transitions(front, s)), read from ``sets`` = _run_sets(s, n).
 
     Anchor sets in different maximal flat runs combine freely, so the
     count is the product of a(r) over the runs.
     """
-    runs = groupby(front, bool)  # maximal runs of flat and of raised lanes
-    return prod(sets[len(list(run))] for raised, run in runs if not raised)
+    return prod(sets[len(list(run))] for x, run in groupby(front) if x == "\0")
 
 
-def _advance_class(front: tuple, s: int) -> tuple:
+def _advance_class(front: str, s: int) -> str:
     """The mirror-canonical form of ``front`` with every maximal run of
     fewer than s flat lanes raised to height 1.
 
     No square fits in such a run, and its lanes read 0 after the advance
     either way, so a front and its raised form have the same transitions.
     """
-    raised = list(front)
+    raised = front
     run = 0  # flat lanes ending before lane i
-    for i, x in enumerate(front):
-        if x:
-            if 0 < run < s:
-                raised[i - run:i] = (1,) * run
-            run = 0
-        else:
+    for i, x in enumerate(front + "\1"):  # a raised lane past the end ends the last run
+        if x == "\0":
             run += 1
-    if 0 < run < s:
-        raised[len(front) - run:] = (1,) * run
-    raised = tuple(raised)
+        elif run:
+            if run < s:
+                raised = raised[:i - run] + "\1" * run + raised[i:]
+            run = 0
     return min(raised, raised[::-1])
 
 
@@ -230,13 +237,13 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
         row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))
     sets = _run_sets(s, n)
-    start = (0,) * n
+    start = "\0" * n
     states = [start]  # the first front met of each advance class
     # advance class, or next front as transitions returns it, -> state.
     # The two kinds of key agree: _advance_class is idempotent, so a front
     # equal to a class form lies in that class, which is its state.
     seen = {_advance_class(start, s): 0}
-    edges = []  # per state, (dst, k) -> multiplicity
+    edges = []  # per state, the (state, k) of each transition
     built = 0  # transitions built so far
     for h in states:  # states grows as classes are met: a breadth-first walk
         # no front has more transitions than the flat one, so only a front
@@ -246,10 +253,8 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
                    built + _transition_count(h, sets), TRANSITION_BUDGET)
         moves = transitions(h, s)
         built += len(moves)
-        agg: dict = {}
-        for nxt, k in moves:
-            j = seen.get(nxt)
-            if j is None:
+        for nxt, _ in moves:
+            if nxt not in seen:
                 cls = _advance_class(nxt, s)
                 j = seen.get(cls)
                 if j is None:
@@ -258,45 +263,44 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
                     j = seen[cls] = len(states)
                     states.append(min(nxt, nxt[::-1]))
                 seen[nxt] = seen[nxt[::-1]] = j
-            key = (j, k)
-            agg[key] = agg.get(key, 0) + 1
-        edges.append(agg)
+        edges.append([(seen[nxt], k) for nxt, k in moves])
     return TransferGraph(s, n, *_lump(states, edges))
 
 
 def _lump(states: list, edges: list) -> tuple:
     """States and edges of the quotient by the coarsest exact lumping.
 
-    ``edges[i]`` maps (dst, k) to the multiplicity of the edges of weight
-    t^k from state i to state dst.  State 0 starts in a block of its own
-    and every other state in one block; each round splits the blocks by
-    the summed weight each state sends into each block, until a round
-    splits nothing.  Blocks are numbered, and represented, by their first
-    state in discovery order.
+    ``edges[i]`` lists the (dst, k) of each transition of weight t^k from
+    state i.  State 0 starts in a block of its own and every other state
+    in one block.  Each round signs every state that shares its block
+    with the sorted (block of dst, k) of its transitions, a multiset, so
+    two signatures are equal exactly when the summed weights into each
+    block are; blocks split by signature until a round splits nothing or
+    every block is a single state.  Blocks are numbered, and represented,
+    by their first state in discovery order.
     """
     block = [0] + [1] * (len(states) - 1)
     count = min(len(states), 2)
-    while True:
+    while count < len(states):
+        size = Counter(block)
         ids: dict = {}  # signature -> block, in order of first state
         new = []
-        for i, out in enumerate(edges):
-            into: dict = {}
-            for (dst, k), mult in out.items():
-                key = (block[dst], k)
-                into[key] = into.get(key, 0) + mult
-            sig = (block[i], tuple(sorted(into.items())))
+        for b, out in zip(block, edges):
+            sig = b  # a block of one state cannot split: its number signs it
+            if size[b] > 1:
+                sig = (b, tuple(sorted([(block[j], k) for j, k in out])))
             new.append(ids.setdefault(sig, len(ids)))
         block = new
         if len(ids) == count:
             break
         count = len(ids)
-    # the partition is stable, so each signature is already written in
-    # the final block numbers
-    first: dict = {}
+    reps, quotient = [], []
     for i, b in enumerate(block):
-        first.setdefault(b, i)
-    reps = tuple(states[i] for i in first.values())
-    quotient = tuple(
-        tuple((b, k, mult) for (b, k), mult in sig[1]) for sig in ids
-    )
-    return reps, quotient
+        if b == len(reps):  # the first state of its block
+            reps.append(i)
+            into: dict = {}  # (block, k) -> multiplicity
+            for j, k in edges[i]:
+                key = (block[j], k)
+                into[key] = into.get(key, 0) + 1
+            quotient.append(tuple([(c, k, mult) for (c, k), mult in sorted(into.items())]))
+    return tuple(tuple(map(ord, states[i])) for i in reps), tuple(quotient)

@@ -13,15 +13,16 @@ cross-checks the closed forms from :mod:`sqtilings.gfun`.
 The sweep packs each state's polynomial into one int, coefficient k in
 the k-th slot of B bits (Kronecker substitution), so an edge of weight
 mult * t^k costs one shift-and-add: ``nxt[dst] += (x << k*B) * mult``.
-Every count is positive, so no coefficient, nor any partial sum of one,
-exceeds its polynomial's value at t = 1; a plain integer sweep at t = 1
-over the same edges therefore bounds every slot.  Both run ``_step`` on
-the edges grouped by k: at t = 1 with slot 0, where every shift is 0, and
-packed with slot B.  Ahead of each block of ``_BLOCK`` steps B is set to
-the t = 1 bound in whole bytes, and the packed ints are repacked when B
-grows, so early steps do not carry the width of the last.  The sweep
-hands back the packed flat-front entry of every step: :func:`count_tables`
-unpacks each one, :func:`count_table` only the last.
+Every count is positive, so no coefficient, nor any partial sum of them,
+exceeds its polynomial's value at t = 1, and while that value fits a slot
+it is the sum of the slots.  One step multiplies the largest t = 1 value
+by at most rho, the largest summed multiplicity into a state.  So ahead
+of each block of ``_BLOCK`` steps B is set to the bits of the largest
+t = 1 value, read from the slots, times rho^steps, in whole bytes; the
+packed ints are repacked when B grows, so early steps do not carry the
+width of the last, and no t = 1 sweep runs beside the packed one.  The
+sweep hands back the packed flat-front entry of every step:
+:func:`count_tables` unpacks each one, :func:`count_table` only the last.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class CountTable(namedtuple("CountTable", "s n m counts")):
         return sum(self.counts)
 
 
-# Steps swept at one slot width, set ahead of them by the t = 1 sweep.
+# Steps swept at one slot width, set ahead of them from the t = 1 values.
 _BLOCK = 16
 
 
@@ -103,19 +104,14 @@ def _packed_sweep(s, n, m_max, kept=False):
         # each kept table is one step's flat-front entry, unpacked
         engine.charge(f"estimated bits of the {m_max + 1} kept tables",
                       engine._sweep_bits(s, n, m_max, rho), engine.TABLE_BUDGET)
-    ones = [1] + [0] * (graph.dim - 1)  # each state's polynomial at t = 1
-    vec = list(ones)  # each state's polynomial, packed
+    vec = [1] + [0] * (graph.dim - 1)  # each state's polynomial, packed
     width = 1  # bytes per slot
     yield 1, width
     for done in range(0, m_max, _BLOCK):
         steps = min(_BLOCK, m_max - done)
-        # the t = 1 values over the block bound every slot it fills
-        bits = 0
-        for _ in range(steps):
-            ones = _step(ones, by_k, 0)
-            bits = max(bits, max(ones).bit_length())
-        if bits > 8 * width:
-            wider = -(-bits // 8)
+        top = max(_slot_sum(x, 8 * width) for x in vec)
+        wider = -(-(top * rho**steps).bit_length() // 8)
+        if wider > width:
             vec = [_widen(x, width, wider) for x in vec]
             width = wider
         for _ in range(steps):
@@ -129,6 +125,17 @@ def _flat_entry_sweep(s, n, m_max):
     Every coefficient is positive.
     """
     return [_unpack(x, width) for x, width in _packed_sweep(s, n, m_max, kept=True)]
+
+
+def _slot_sum(x: int, slot: int) -> int:
+    """The sum of x's slots of ``slot`` bits, folded in halves; exact when
+    it fits one slot, for then no partial sum carries into the next."""
+    slots = -(-x.bit_length() // slot)
+    while slots > 1:
+        slots = -(-slots // 2)
+        cut = slots * slot
+        x = (x & ((1 << cut) - 1)) + (x >> cut)
+    return x
 
 
 def _slot_bytes(x: int, width: int) -> bytes:

@@ -155,6 +155,16 @@ def test_gf_exact_output(capsys):
     assert out == "(1) / (1 - z - z^2*t)\n"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("table", "--s", "2000000", "--n", "3", "--m", "5"), "2000000 3 5 : 1 : 1"),
+    (("gf", "--s", "2000000", "--n", "3"), "(1) / (1 - z)"),
+])
+def test_square_wider_than_any_code_point_fits_nowhere(capsys, argv, line):
+    # chr(s - 1) does not exist for s >= 0x110000; the front search asks
+    # for it only for a front where a square fits
+    assert run(capsys, *argv) == (0, line + "\n", "")
+
+
 def test_gf_row_sums_line(capsys):
     code, out, _ = run(capsys, "gf", "--s", "2", "--n", "2", "--row-sums")
     assert code == 0

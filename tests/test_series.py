@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from sqtilings.series import (
     CountTable,
     _flat_entry_sweep,
     _packed_sweep,
+    _slot_sum,
     count_table,
     count_tables,
 )
@@ -123,28 +125,48 @@ def test_packed_sweep_matches_dict_sweep(s, n, m_max):
 
 @pytest.mark.parametrize(
     "s,n,m_max,widths",
-    [(2, 8, 60, [1, 7, 13, 19, 24]), (3, 9, 80, [1, 4, 8, 12, 16, 19])],
+    [(2, 8, 60, [1, 8, 14, 21, 25]), (3, 9, 80, [1, 7, 10, 14, 18, 22]), (2, 1, 40, [1])],
 )
-def test_sweep_slots_are_the_t1_bound(s, n, m_max, widths):
-    # each block of 16 steps packs its slots in the bytes of the largest
-    # t = 1 value any state reaches in it, and a slot never narrows
+def test_sweep_slots_bound_the_t1_growth(s, n, m_max, widths):
+    # ahead of each block of 16 steps, the slots widen to the bytes of the
+    # largest t = 1 value at the block start times rho^steps, rho the
+    # largest summed multiplicity into a state, and a slot never narrows
     edges = enumerate_states(s, n).edges
-    ones = [1] + [0] * (len(edges) - 1)
-    peaks = []  # per step, bytes of the largest t = 1 value
-    for _ in range(m_max):
-        nxt = [0] * len(edges)
-        for src, lst in enumerate(edges):
-            for dst, _, mult in lst:
-                nxt[dst] += ones[src] * mult
-        ones = nxt
-        peaks.append(-(-max(ones).bit_length() // 8))
+    into = Counter()
+    for lst in edges:
+        for dst, _, mult in lst:
+            into[dst] += mult
+    rho = max(into.values())
+    ones = [1] + [0] * (len(edges) - 1)  # each state's polynomial at t = 1
     expected = [1]
     for start in range(0, m_max, 16):
-        block = peaks[start:start + 16]
-        expected += [max(expected[-1], *block)] * len(block)
+        steps = min(16, m_max - start)
+        bits = (max(ones) * rho**steps).bit_length()
+        expected += [max(expected[-1], -(-bits // 8))] * steps
+        for _ in range(steps):
+            nxt = [0] * len(edges)
+            for src, lst in enumerate(edges):
+                for dst, _, mult in lst:
+                    nxt[dst] += ones[src] * mult
+            ones = nxt
     got = [width for _, width in _packed_sweep(s, n, m_max)]
     assert got == expected
     assert sorted(set(got)) == widths
+    # engine._sweep_bits prices step j at j * b + 1 bits, b = ceil(log2 rho);
+    # a block's slots are set for its last step, so they fit that step's price
+    b = (rho - 1).bit_length()
+    for j, width in enumerate(got):
+        last = min(-(-j // 16) * 16, m_max)
+        assert width <= -(-(last * b + 1) // 8), j
+
+
+@given(st.integers(1, 8), st.lists(st.integers(0, 2**64), max_size=40))
+def test_slot_sum_is_the_sum_of_the_slots(width, coeffs):
+    # exact whenever the sum fits one slot, as at every block start
+    slot = 8 * width
+    coeffs = [c % (1 << slot) // 40 for c in coeffs]
+    x = sum(c << (k * slot) for k, c in enumerate(coeffs))
+    assert _slot_sum(x, slot) == sum(coeffs)
 
 
 def test_long_boards_match_closed_forms():
@@ -158,7 +180,7 @@ def test_long_boards_match_closed_forms():
 def _unlumped_flat_series(s, n, m_max, dim_cap):
     """Flat-front t-polynomials for m = 0 .. m_max, swept over the graph of
     all reachable fronts with no mirror lumping; None above dim_cap fronts."""
-    start = (0,) * n
+    start = "\0" * n  # a front as the front search holds it
     index = {start: 0}
     states = [start]
     edges = []
