@@ -19,11 +19,10 @@ The two ``_check_conjectures`` patterns (boards 2s x (2s+1) and
 discovery, so they are enforced and surfaced loudly rather than hidden.
 
 :func:`run_verification` is the one entry point, and the checks are its
-steps.  Each check reads its boards through ``tables(s, n, m_max)``,
-which returns the count tables for m = 0 .. at least m_max, and the
-oracle's through ``oracle(s, n, m_max, cell_cap)``; a run gives all checks
-one kept source of each, so it sweeps each (s, n) once and makes one
-oracle pass per (s, n).
+steps.  :func:`_plan` works out from the grid alone the longest board each
+check reads per (s, n); the run sweeps each planned (s, n) once and makes
+one oracle pass per planned width, and the checks read ``tables[s, n][m]``
+and ``brute[s, n][m]``, so a board outside the plan raises.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
+from .engine import SWEEP_BUDGET, charge
 from .oracle import brute_force_tables
 from .series import CountTable, count_tables
 
@@ -78,7 +78,7 @@ def _coeff(table: CountTable, k: int) -> int:
     return table.counts[k] if 0 <= k < len(table.counts) else 0
 
 
-def _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle) -> IdentityReport:
+def _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, brute) -> IdentityReport:
     """Coefficient identities that hold for every board.
 
     Zero squares always one way; one square in (n-s+1)(m-s+1) ways; boards
@@ -86,16 +86,13 @@ def _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle) -> Identi
     with both sides multiples of s have exactly one maximal packing;
     counts are invariant under swapping n and m.  The boards n x m with
     n <= m and at most ``oracle_cell_cap`` cells (none when it is 0) are
-    also recounted by the exhaustive oracle:
-    one ``oracle(s, n, m_max, cell_cap)`` pass of width n per (s, n) gives
-    every length.
+    also recounted by the exhaustive oracle, read from ``brute[s, n]``.
     """
     report = IdentityReport("basic count identities", [])
     for s in range(1, s_max + 1):
-        by_n = {n: tables(s, n, m_max) for n in range(1, n_max + 1)}
         for n in range(1, n_max + 1):
             for m in range(0, m_max + 1):
-                table = by_n[n][m]
+                table = tables[s, n][m]
                 report.add(
                     "zero_squares",
                     {"s": s, "n": n, "m": m},
@@ -135,20 +132,16 @@ def _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle) -> Identi
                 report.add(
                     "rotation_symmetry",
                     {"s": s, "n": a, "m": b},
-                    by_n[a][b].counts,
-                    by_n[b][a].counts,
+                    tables[s, a][b].counts,
+                    tables[s, b][a].counts,
                 )
         for n in range(1, n_max + 1):
-            last = min(m_max, oracle_cell_cap // n)
-            if last < n:
-                continue
-            brute = oracle(s, n, last, oracle_cell_cap)
-            for m in range(n, last + 1):
+            for m in range(n, min(m_max, oracle_cell_cap // n) + 1):
                 report.add(
                     "oracle_agreement",
                     {"s": s, "n": n, "m": m},
-                    brute[m].counts,
-                    by_n[n][m].counts,
+                    brute[s, n][m].counts,
+                    tables[s, n][m].counts,
                 )
     return report
 
@@ -162,8 +155,8 @@ def _check_single_lane(s_max, m_max, tables) -> IdentityReport:
     """
     report = IdentityReport("single-lane closed forms", [])
     for s in range(1, s_max + 1):
-        lane = tables(s, s, m_max)
-        sums = [t.row_sum for t in lane]
+        lane = tables[s, s]
+        sums = [lane[m].row_sum for m in range(m_max + 1)]
         for m in range(0, m_max + 1):
             # m >= s*k makes every entry at least 1, so none needs trimming
             expected = tuple(comb(m - (s - 1) * k, k) for k in range(m // s + 1))
@@ -200,9 +193,9 @@ def _check_subwidth(s_max, n_max, m_max, tables) -> IdentityReport:
     """
     report = IdentityReport("subwidth product structure", [])
     for s in range(1, s_max + 1):
-        base = tables(s, s, m_max)
+        base = tables[s, s]
         for n in range(s, min(2 * s - 1, n_max) + 1):
-            wide = tables(s, n, m_max)
+            wide = tables[s, n]
             for m in range(0, m_max + 1):
                 expected = tuple(
                     (n - s + 1) ** k * c for k, c in enumerate(base[m].counts)
@@ -229,12 +222,21 @@ def _check_two_s_square(s_max, tables) -> IdentityReport:
             "two_s_square_counts",
             {"s": s, "n": 2 * s, "m": 2 * s},
             expected,
-            tables(s, 2 * s, 2 * s)[2 * s].counts,
+            tables[s, 2 * s][2 * s].counts,
         )
     return report
 
 
-def _check_conjectures(tables, oracle_cell_cap, oracle) -> IdentityReport:
+# (identity, sizes s, columns past 2s, conjectured vector); _plan reads these too
+_CONJECTURES = (
+    ("near_square_counts", (2, 3, 4), 1,
+     lambda s: (1, (s + 1) * (s + 2), 4 * s * s + 10 * s + 1, 16 * s + 2, 9)),
+    ("offset_square_counts", (3, 4), 2,
+     lambda s: (1, (s + 1) * (s + 3), 7 * s * s + 18 * s + 3, 40 * s + 8, 36)),
+)
+
+
+def _check_conjectures(tables, oracle_cell_cap, brute) -> IdentityReport:
     """Conjectured count vectors for boards one or two columns past 2s x 2s.
 
     For 2s x (2s+1), s >= 2, the counts appear to be
@@ -243,44 +245,41 @@ def _check_conjectures(tables, oracle_cell_cap, oracle) -> IdentityReport:
     confirm the instances s = 2, 3, 4 and s = 3, 4, and a failing
     instance would refute the pattern.
     Each board with at most ``oracle_cell_cap`` cells is also recounted
-    as the last table of one ``oracle`` pass:
-    m = 2s+1 or 2s+2 rows of width 2s.
+    by the oracle, read from ``brute[s, 2s]``.
     """
     report = IdentityReport("conjectured near-square count vectors", [])
-    patterns = (
-        # (identity, sizes, columns past 2s, conjectured vector)
-        ("near_square_counts", (2, 3, 4), 1,
-         lambda s: (1, (s + 1) * (s + 2), 4 * s * s + 10 * s + 1, 16 * s + 2, 9)),
-        ("offset_square_counts", (3, 4), 2,
-         lambda s: (1, (s + 1) * (s + 3), 7 * s * s + 18 * s + 3, 40 * s + 8, 36)),
-    )
-    for identity, sizes, extra, vector in patterns:
+    for identity, sizes, extra, vector in _CONJECTURES:
         for s in sizes:
             n, m = 2 * s, 2 * s + extra
-            actual = tables(s, n, m)[m].counts
+            actual = tables[s, n][m].counts
             report.add(identity, {"s": s, "n": n, "m": m}, vector(s), actual)
             if n * m <= oracle_cell_cap:
                 report.add(
                     "oracle_agreement",
                     {"s": s, "n": n, "m": m},
-                    oracle(s, n, m, oracle_cell_cap)[m].counts,
+                    brute[s, n][m].counts,
                     actual,
                 )
     return report
 
 
-def _kept(run):
-    """``run(s, n, m, ...)``, run again for an (s, n) only when a call asks
-    for a longer board than the tables kept from its last run reach."""
-    kept: dict = {}
-
-    def source(s, n, m, *rest):
-        have = kept.get((s, n))
-        if have is None or len(have) <= m:
-            have = kept[(s, n)] = run(s, n, m, *rest)
-        return have
-
-    return source
+def _plan(s_max, n_max, m_max, oracle_cell_cap):
+    """The longest board the checks read of each (s, n), worked out from
+    the grid alone: two dicts (s, n) -> m, one for the sweeps and one for
+    the oracle passes, each in the order the checks first read them."""
+    sides = range(1, s_max + 1)
+    grid = [(s, n, m_max) for s in sides for n in range(1, n_max + 1)]
+    near = [(s, 2 * s, 2 * s + extra) for _, sizes, extra, _ in _CONJECTURES for s in sizes]
+    sweeps = grid + [(s, s, max(m_max, 2 * s_max)) for s in sides]
+    sweeps += [(s, 2 * s, 2 * s) for s in sides] + near
+    passes = [(s, n, m) for s, n, _ in grid
+              for m in [min(m_max, oracle_cell_cap // n)] if m >= n]
+    passes += [(s, n, m) for s, n, m in near if n * m <= oracle_cell_cap]
+    plan = ({}, {})
+    for longest, reads in zip(plan, (sweeps, passes)):
+        for s, n, m in reads:
+            longest[s, n] = max(m, longest.get((s, n), m))
+    return plan
 
 
 def run_verification(s_max: int, n_max: int, m_max: int, oracle_cell_cap: int) -> list:
@@ -289,15 +288,21 @@ def run_verification(s_max: int, n_max: int, m_max: int, oracle_cell_cap: int) -
     The grid is s = 1 .. s_max, n = 1 .. n_max and m = 0 .. m_max, with the
     single-lane boards run to length max(m_max, 2 s_max).
     ``oracle_cell_cap`` goes to the checks that recount boards with the
-    oracle; 0 turns the oracle off.  The checks share one :func:`_kept`
-    table source and one oracle source.
+    oracle; 0 turns the oracle off.  Each (s, n) of the :func:`_plan` is
+    swept once into ``tables`` and each planned width passed once into
+    ``brute``, and the checks read those two dicts.  Building the plan
+    takes time in s_max * n_max, so a closed-form lower bound on its word
+    operations, one per planned step, is charged before it.
     """
-    tables = _kept(count_tables)
-    oracle = _kept(brute_force_tables)
+    charge("lower bound on the word operations of the verify grid's sweeps",
+           s_max * ((n_max - 1) * m_max + max(m_max, 2 * s_max)), SWEEP_BUDGET)
+    sweeps, passes = _plan(s_max, n_max, m_max, oracle_cell_cap)
+    tables = {sn: count_tables(*sn, m) for sn, m in sweeps.items()}
+    brute = {sn: brute_force_tables(*sn, m, oracle_cell_cap) for sn, m in passes.items()}
     return [
-        _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, oracle),
+        _check_basic(s_max, n_max, m_max, tables, oracle_cell_cap, brute),
         _check_single_lane(s_max, max(m_max, 2 * s_max), tables),
         _check_subwidth(s_max, n_max, m_max, tables),
         _check_two_s_square(s_max, tables),
-        _check_conjectures(tables, oracle_cell_cap, oracle),
+        _check_conjectures(tables, oracle_cell_cap, brute),
     ]

@@ -3,9 +3,20 @@ from pathlib import Path
 import pytest
 
 from sqtilings import enumerate_states, generating_function
+from sqtilings.identities import _plan
+from sqtilings.oracle import brute_force_tables
 from sqtilings.poly import RatFun
+from sqtilings.series import count_tables
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "closed_forms"
+
+
+def planned_sources(s_max, n_max, m_max, cell_cap):
+    """The ``tables`` and ``brute`` dicts that ``run_verification`` gives
+    its checks for this grid: every board of its plan, swept or passed once."""
+    sweeps, passes = _plan(s_max, n_max, m_max, cell_cap)
+    return ({sn: count_tables(*sn, m) for sn, m in sweeps.items()},
+            {sn: brute_force_tables(*sn, m, cell_cap) for sn, m in passes.items()})
 
 
 @pytest.fixture(scope="session")

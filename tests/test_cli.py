@@ -268,9 +268,13 @@ def _oracle_capped_at(cap):
         (["verify", "--s-max", "2", "--n-max", "2", "--m-max", "3000"], None,
          "estimated bits of the 3001 kept tables: 9013506500, "
          "over the limit of 4000000000"),
+        # a word operation per planned step at least, charged before the plan
+        (["verify", "--s-max", "1000000000"], None,
+         "lower bound on the word operations of the verify grid's sweeps: "
+         "2000000090000000000, over the limit of 10000000000"),
     ],
     ids=["sweep", "unit-graph", "flat-front", "search", "state-cap", "dim-cap",
-         "oracle-cap", "table-kept", "verify-kept"],
+         "oracle-cap", "table-kept", "verify-kept", "verify-grid"],
 )
 def test_every_refusal_is_one_error_line(capsys, monkeypatch, argv, patch, line):
     # every cap and budget is worded by engine.charge and exits 2 through

@@ -1,4 +1,11 @@
-from sqtilings import identities, series
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqtilings import engine, identities, series
+from sqtilings.engine import CapExceeded, enumerate_states
 from sqtilings.identities import (
     CheckResult,
     IdentityReport,
@@ -7,14 +14,18 @@ from sqtilings.identities import (
     _check_single_lane,
     _check_subwidth,
     _check_two_s_square,
+    _plan,
     run_verification,
 )
 from sqtilings.oracle import brute_force_tables
 from sqtilings.series import count_tables
 
+from conftest import planned_sources
+
 
 def test_basic_identities_pass():
-    report = _check_basic(3, 6, 6, count_tables, 30, brute_force_tables)
+    tables, brute = planned_sources(3, 6, 6, 30)
+    report = _check_basic(3, 6, 6, tables, 30, brute)
     assert report.passed
     assert report.failures == []
     names = {c.identity for c in report.checks}
@@ -30,13 +41,8 @@ def test_basic_identities_pass():
 
 
 def test_basic_reads_oracle_once_per_width():
-    calls = []
-
-    def counting_tables(s, n, m_max, cell_cap):
-        calls.append((s, n))
-        return brute_force_tables(s, n, m_max, cell_cap)
-
-    report = _check_basic(3, 6, 6, count_tables, 30, counting_tables)
+    tables, brute = planned_sources(3, 6, 6, 30)
+    report = _check_basic(3, 6, 6, tables, 30, brute)
     boards = {
         (c.params["s"], c.params["n"], c.params["m"])
         for c in report.checks
@@ -49,20 +55,26 @@ def test_basic_reads_oracle_once_per_width():
         for m in range(n, 7)
         if n * m <= 30
     }
-    assert sorted(calls) == sorted({(s, n) for s, n, _ in boards})
-    assert len(calls) == len(set(calls))
+    # one pass per width, to its longest board; the conjectures' 6 x 7 and
+    # 6 x 8 boards are past 30 cells and add none
+    assert _plan(3, 6, 6, 30)[1] == {
+        (s, n): max(m for t, w, m in boards if (t, w) == (s, n)) for s, n, _ in boards
+    }
 
 
 def test_basic_oracle_widths_stop_at_n_max():
-    # boards of width n_max + 1 fit the cell cap here, but are not in the grid
-    report = _check_basic(2, 3, 8, count_tables, 24, brute_force_tables)
+    # boards of width n_max + 1 fit the cell cap here, but are not in the
+    # grid; the conjectures' 4 x 5 board puts a pass of width 4 in the plan
+    tables, brute = planned_sources(2, 3, 8, 24)
+    assert (2, 4) in brute
+    report = _check_basic(2, 3, 8, tables, 24, brute)
     assert report.passed
     widths = {c.params["n"] for c in report.checks if c.identity == "oracle_agreement"}
     assert widths == {1, 2, 3}
 
 
 def test_single_lane_report():
-    report = _check_single_lane(4, 12, count_tables)
+    report = _check_single_lane(4, 12, planned_sources(4, 1, 12, 0)[0])
     assert report.passed
     lag3 = {
         c.params["s"]: c.ok
@@ -77,7 +89,7 @@ def test_single_lane_report():
 def test_single_lane_lag_3_note_from_length_3():
     # as in `verify --s-max 1 --m-max 3`: 3 is the shortest length with a lag-3 term
     def notes(m_max):
-        report = _check_single_lane(1, m_max, count_tables)
+        report = _check_single_lane(1, m_max, planned_sources(1, 1, m_max, 0)[0])
         return [c for c in report.checks if c.identity == "single_lane_lag_3_recurrence"]
 
     assert len(notes(3)) == 1
@@ -86,12 +98,13 @@ def test_single_lane_lag_3_note_from_length_3():
 
 
 def test_subwidth_and_two_s_square_pass():
-    assert _check_subwidth(4, 8, 8, count_tables).passed
-    assert _check_two_s_square(5, count_tables).passed
+    assert _check_subwidth(4, 8, 8, planned_sources(4, 8, 8, 0)[0]).passed
+    assert _check_two_s_square(5, planned_sources(5, 1, 0, 0)[0]).passed
 
 
 def test_conjecture_instances():
-    report = _check_conjectures(count_tables, 48, brute_force_tables)
+    tables, brute = planned_sources(1, 1, 0, 48)
+    report = _check_conjectures(tables, 48, brute)
     assert report.passed
     params = {
         (c.params["s"], c.params["n"], c.params["m"])
@@ -156,6 +169,11 @@ def test_run_verification_makes_one_oracle_pass_per_system(monkeypatch):
     # _check_conjectures' boards 4 x 5, 6 x 7 and 6 x 8 reuse _check_basic's passes
     assert {(2, 4), (3, 6)} <= set(calls)
     assert len(calls) == len(set(calls))
+    # 3 widths for each s, and one pass of width 6 for both 6 x 7 and 6 x 8,
+    # which lie past the grid's widths
+    calls.clear()
+    run_verification(12, 4, 3, 64)
+    assert len(calls) == len(set(calls)) == 38
 
 
 def test_run_verification_sweeps_each_system_once(monkeypatch):
@@ -171,3 +189,72 @@ def test_run_verification_sweeps_each_system_once(monkeypatch):
     # s = 1..5 by n = 1..10; every later check reads boards _check_basic swept
     assert len(set(swept)) == 50
     assert len(swept) == 50
+    # here the single-lane and 2s x 2s boards run past the grid's lengths
+    # and widths, and each of their systems is still swept once
+    for grid, systems in [((8, 10, 10, 64), 83), ((12, 4, 3, 64), 66)]:
+        swept.clear()
+        assert all(r.passed for r in run_verification(*grid))
+        assert len(swept) == len(set(swept)) == systems
+
+
+class _Reads:
+    """One (s, n)'s tables, noting the longest m read from them."""
+
+    def __init__(self, tables, key, longest):
+        self.tables, self.key, self.longest = tables, key, longest
+
+    def __getitem__(self, m):
+        self.longest[self.key] = max(m, self.longest.get(self.key, m))
+        return self.tables[m]
+
+
+class _OnDemand(dict):
+    """(s, n) -> :class:`_Reads`, run on the first lookup of each (s, n)."""
+
+    def __init__(self, run):
+        super().__init__()
+        self.run, self.longest = run, {}
+
+    def __missing__(self, key):
+        self[key] = _Reads(self.run(*key), key, self.longest)
+        return self[key]
+
+
+# s_max, n_max, m_max, oracle_cell_cap
+_grids = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(0, 8),
+                   st.sampled_from([0, 16, 40]))
+
+
+@settings(deadline=None, max_examples=25)
+@given(_grids)
+def test_plan_is_what_the_checks_read(grid):
+    # sources that sweep every (s, n) asked for to length 12, past every
+    # planned board, and pass each width as far as the cell cap allows
+    s_max, n_max, m_max, cap = grid
+    tables = _OnDemand(lambda s, n: count_tables(s, n, 12))
+    brute = _OnDemand(lambda s, n: brute_force_tables(s, n, cap // n, cap))
+    reports = [
+        _check_basic(s_max, n_max, m_max, tables, cap, brute),
+        _check_single_lane(s_max, max(m_max, 2 * s_max), tables),
+        _check_subwidth(s_max, n_max, m_max, tables),
+        _check_two_s_square(s_max, tables),
+        _check_conjectures(tables, cap, brute),
+    ]
+    assert (tables.longest, brute.longest) == _plan(*grid)
+    assert reports == run_verification(*grid)
+
+
+@settings(deadline=None, max_examples=25)
+@given(_grids)
+def test_grid_charge_is_under_the_planned_sweeps(grid):
+    with mock.patch.object(identities, "SWEEP_BUDGET", -1):
+        with pytest.raises(CapExceeded) as refused:
+            run_verification(*grid)
+    words = 0
+    for (s, n), m in _plan(*grid)[0].items():
+        edges = enumerate_states(s, n).edges
+        into = [0] * len(edges)
+        for dst, _, mult in (e for row in edges for e in row):
+            into[dst] += mult
+        words += engine._sweep_words(s, n, m, sum(map(len, edges)), max(into))
+    assert refused.value.need <= words
