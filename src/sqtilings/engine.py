@@ -88,7 +88,7 @@ def charge(what: str, need: int, limit: int) -> None:
         raise CapExceeded(f"{what}: {need}, over the limit of {limit}", need, limit)
 
 
-def _sweep_bits(s, n, steps, rho):
+def _sweep_bits(s, n, steps, b):
     """Estimated bits of a state's packed polynomials summed over the steps
     1 .. ``steps`` of a sweep (:mod:`sqtilings.series`), in closed form.
 
@@ -96,8 +96,8 @@ def _sweep_bits(s, n, steps, rho):
     of at most j*b + 1 bits, with b = ceil(log2 rho): rho, the largest
     summed multiplicity into a state, bounds each step's growth of the
     t = 1 values, and the sweep sets each block's slot width from it.
+    Callers pass b, so rho itself need not exist.
     """
-    b = (rho - 1).bit_length()
     sq = s * s
     sum1 = steps * (steps + 1) // 2  # sum of j over the steps
     sum2 = sum1 * (2 * steps + 1) // 3  # sum of j^2
@@ -105,12 +105,20 @@ def _sweep_bits(s, n, steps, rho):
     return (n * b * sum2 + (n + b * sq) * sum1 + sq * steps) // sq
 
 
-def _sweep_words(s, n, steps, edges, rho):
+def _sweep_words(s, n, steps, edges, b):
     """Estimated 64-bit word operations of a sweep of ``steps`` transfer
     steps over ``edges`` edges: one shift-and-add per edge and step, on at
     least one word and on the packed int :func:`_sweep_bits` sizes.
     """
-    return edges * (steps + _sweep_bits(s, n, steps, rho) // 64)
+    return edges * (steps + _sweep_bits(s, n, steps, b) // 64)
+
+
+def _charge_unit_graph(n):
+    """Refuse the s = 1 graph of width n before its binomials, about n^2
+    bits, are built: it is charged as one sweep step over its n + 1 edges,
+    whose multiplicities sum to 2^n, so b = n."""
+    charge(f"estimated word operations of the s = 1 graph of width {n}",
+           _sweep_words(1, n, 1, n + 1, n), SWEEP_BUDGET)
 
 
 class _Lower(dict):
@@ -228,11 +236,8 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
     if s == 1:
         # every lane is always flat and every advance returns to the flat
         # front, so the 2^n placement sets aggregate to binomials, each
-        # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1).  They
-        # hold about n^2 bits, so one sweep step over the n + 1 edges,
-        # whose multiplicities sum to 2^n, is charged before they are built
-        charge(f"estimated word operations of the s = 1 graph of width {n}",
-               _sweep_words(s, n, 1, n + 1, 1 << n), SWEEP_BUDGET)
+        # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1)
+        _charge_unit_graph(n)
         binomials = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
         row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))

@@ -26,9 +26,10 @@ numerator/denominator pair, split back into (z, t) terms by
   are nonzero there.  So the survivor holds det(I - M) and the (0, 0)
   cofactor evaluated at t = 2^B, up to one shared sign, whatever pivots
   it took; entries met on the way are never decoded and need no bound.
-* Every coefficient of those two minors is at most the Hadamard bound H
-  of I - M (see ``_slot_bits``), and B = ceil(log2 H) + 2 makes
-  H < 2^(B-1), so the split into balanced signed slots is unique.
+* Every coefficient of those two minors is at most the least Hadamard
+  bound H over the stages of a contraction of the graph (see
+  ``_slot_bits``), and B = ceil(log2 H) + 2 makes H < 2^(B-1), so the
+  split into balanced signed slots is unique.
 * The ratio cofactor / det, normalised by ``RatFun``, does not depend on
   the pivot order.
 
@@ -52,6 +53,7 @@ emitted from.
 from __future__ import annotations
 
 import re
+from math import prod
 
 from .engine import DIM_CAP, charge
 from .poly import BiPoly, PolyT, RatFun
@@ -76,7 +78,7 @@ def generating_function(edges) -> RatFun:
         for dst, k, mult in lst:
             acc = slots.setdefault(dst, {})
             acc[k] = acc.get(k, 0) + mult
-        # each summed mult is below the Hadamard bound, so it fits its slot
+        # each summed mult is below the bound H, so it fits its slot
         for dst, acc in slots.items():
             rows[dst].setdefault(src, {})[1] = -_pack_t(acc, bits)
     rows[0][rhs] = {0: 1}
@@ -194,24 +196,51 @@ def _exact_div(num: dict, den: dict) -> dict:
 
 
 def _slot_bits(edges) -> int:
-    """Slot width B that holds every coefficient of det(I - M) and its cofactors.
+    """Slot width B that holds every coefficient of det(I - M) and its head cofactor.
 
-    The z^a t^b coefficient of a polynomial is its mean times z^-a t^-b
-    over the torus |z| = |t| = 1.  There each entry a_ij of I - M has
-    modulus at most |a_ij|_1, its summed absolute coefficients, so by
-    Hadamard's inequality no coefficient of the determinant exceeds
-    H = prod over columns j of sqrt(sum over rows i of |a_ij|_1^2), nor
-    any of a cofactor, whose columns are shorter.  B = ceil(log2 H) + 2,
-    computed from H^2 in integers.
+    A coefficient is a mean over the torus |z| = |t| = 1, where no entry
+    of M (nonnegative coefficients) exceeds its value at z = t = 1, so by
+    Hadamard's inequality none of det(I - M) or a cofactor exceeds H, the
+    product of the column norms of I - M at z = t = 1.  Eliminating a state
+    i != 0 with no self-loop turns each pair of edges j -> i and i -> r, of
+    weights a and b, into an edge j -> r of weight a*b: a Schur complement
+    on the pivot 1, which keeps M' >= 0, the determinant and the head
+    cofactor, so each stage's H bounds them too.  States go fewest
+    (in-degree x out-degree) first, ties by index; B = ceil(log2 H) + 2
+    for the least H, in integers.  A summed mult of M fits too: a step
+    turns an entry into entries at least as large, or drops it where every
+    product it enters is 0, and from then on neither minor depends on it.
     """
-    h2 = 1
+    out = [{} for _ in edges]  # out[j][r]: summed mult of the edges j -> r
+    into = [set() for _ in edges]  # into[r]: every j with an edge j -> r
     for src, lst in enumerate(edges):
-        norms: dict = {src: 1}  # the diagonal's 1 and any self-loop add up
         for dst, _, mult in lst:
-            norms[dst] = norms.get(dst, 0) + mult
-        h2 *= sum(v * v for v in norms.values())
+            out[src][dst] = out[src].get(dst, 0) + mult
+            into[dst].add(src)
+
+    def norm2(j):  # column j squared, the diagonal's 1 added to any self-loop
+        return sum(w * w for w in out[j].values()) + 2 * out[j].get(j, 0) + 1
+
+    n2 = list(map(norm2, range(len(edges))))
+    h2 = least = prod(n2)
+    live = {i for i in range(1, len(edges)) if i not in out[i]}  # to eliminate
+    while live:
+        i = min(live, key=lambda v: (len(into[v]) * len(out[v]), v))
+        live.remove(i)
+        h2 //= n2[i] * prod(n2[j] for j in into[i])  # columns i and into[i] go
+        for j in into[i]:
+            a = out[j].pop(i)
+            for r, b in out[i].items():
+                out[j][r] = out[j].get(r, 0) + a * b
+                into[r].add(j)
+            n2[j] = norm2(j)
+        for r in out[i]:
+            into[r].remove(i)
+        live -= {j for j in into[i] if j in out[j]}  # a new self-loop keeps j
+        h2 *= prod(n2[j] for j in into[i])  # and into[i] come back, updated
+        least = min(least, h2)
     # ceil(log2 H) is the least b with 4^b >= H^2
-    return ((h2 - 1).bit_length() + 1) // 2 + 2
+    return ((least - 1).bit_length() + 1) // 2 + 2
 
 
 def _pack_t(slots: dict, bits: int) -> int:
@@ -314,10 +343,6 @@ def emit_cas_script(edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-_EQ_RE = re.compile(r"^eq_\d+ := x\d+ = (.*);$", re.MULTILINE)
-_TERM_RE = re.compile(r"(?:\(([^()]*)\)|([^ ()]+))\*x(\d+)")
-
-
 def parse_cas_script(text: str) -> tuple:
     """Read a script that ``emit_cas_script`` wrote back into its edges.
 
@@ -328,11 +353,11 @@ def parse_cas_script(text: str) -> tuple:
     wrong z-degree, terms reordered or repeated, or a line missing or
     added.  Anything else raises ValueError.
     """
-    bodies = _EQ_RE.findall(text)
+    bodies = re.findall(r"^eq_\d+ := x\d+ = (.*);$", text, re.MULTILINE)
     found = [
         (int(j), row, k, mult)
         for row, body in enumerate(bodies)
-        for par, bare, j in _TERM_RE.findall(body)
+        for par, bare, j in re.findall(r"(?:\(([^()]*)\)|([^ ()]+))\*x(\d+)", body)
         for (_, k), mult in BiPoly.parse(par or bare).terms.items()
     ]
     if bodies and all(j < len(bodies) and mult > 0 for j, _, _, mult in found):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .engine import SWEEP_BUDGET, charge
+from .engine import SWEEP_BUDGET, _charge_unit_graph, charge
 from .oracle import brute_force_tables
 from .series import CountTable, count_tables
 
@@ -292,10 +292,13 @@ def run_verification(s_max: int, n_max: int, m_max: int, oracle_cell_cap: int) -
     swept once into ``tables`` and each planned width passed once into
     ``brute``, and the checks read those two dicts.  Building the plan
     takes time in s_max * n_max, so a closed-form lower bound on its word
-    operations, one per planned step, is charged before it.
+    operations, one per planned step, is charged before it, and so is the
+    s = 1 graph of width n_max, which the plan always sweeps: that bounds
+    n_max even when m_max is small.
     """
     charge("lower bound on the word operations of the verify grid's sweeps",
            s_max * ((n_max - 1) * m_max + max(m_max, 2 * s_max)), SWEEP_BUDGET)
+    _charge_unit_graph(n_max)
     sweeps, passes = _plan(s_max, n_max, m_max, oracle_cell_cap)
     tables = {sn: count_tables(*sn, m) for sn, m in sweeps.items()}
     brute = {sn: brute_force_tables(*sn, m, oracle_cell_cap) for sn, m in passes.items()}

@@ -58,9 +58,6 @@ def _subs_t_terms(a: dict, value: int) -> dict:
 # ---------------------------------------------------------------------------
 # text format
 
-_FACTOR_RE = re.compile(r"^(?:(\d+)|([zt])(?:\^(\d+))?)$")
-
-
 def _parse_terms(text: str) -> dict:
     s = "".join(text.split())
     if not s:
@@ -76,7 +73,7 @@ def _parse_terms(text: str) -> dict:
         coeff = sign
         z_exp = t_exp = 0
         for factor in tok[1:].split("*"):
-            m = _FACTOR_RE.match(factor)
+            m = re.match(r"^(?:(\d+)|([zt])(?:\^(\d+))?)$", factor)
             if m is None:
                 raise ValueError(f"bad factor {factor!r} in polynomial text: {text!r}")
             digits, var, exp = m.groups()

@@ -97,13 +97,14 @@ def _packed_sweep(s, n, m_max, kept=False):
             into[dst] += mult
         by_k.append(tuple(groups.items()))
     rho = max(into)
+    b = (rho - 1).bit_length()
     engine.charge(f"estimated word operations of a sweep of {m_max} steps",
-                  engine._sweep_words(s, n, m_max, sum(map(len, graph.edges)), rho),
+                  engine._sweep_words(s, n, m_max, sum(map(len, graph.edges)), b),
                   engine.SWEEP_BUDGET)
     if kept:
         # each kept table is one step's flat-front entry, unpacked
         engine.charge(f"estimated bits of the {m_max + 1} kept tables",
-                      engine._sweep_bits(s, n, m_max, rho), engine.TABLE_BUDGET)
+                      engine._sweep_bits(s, n, m_max, b), engine.TABLE_BUDGET)
     vec = [1] + [0] * (graph.dim - 1)  # each state's polynomial, packed
     width = 1  # bytes per slot
     yield 1, width

@@ -272,9 +272,19 @@ def _oracle_capped_at(cap):
         (["verify", "--s-max", "1000000000"], None,
          "lower bound on the word operations of the verify grid's sweeps: "
          "2000000090000000000, over the limit of 10000000000"),
+        # priced from the width alone: 2^n, about 12.5 GB here, is never built
+        (["gf", "--s", "1", "--n", "100000000000"], None,
+         "estimated word operations of the s = 1 graph of width 100000000000: "
+         "15625000000468750000103125000001, over the limit of 10000000000"),
+        # the grid charge admits it (50), but the plan would sweep the s = 1
+        # graph of width 10^8, and that is charged before the plan is built
+        (["verify", "--n-max", "100000000", "--m-max", "0"], None,
+         "estimated word operations of the s = 1 graph of width 100000000: "
+         "15625000468750103125001, over the limit of 10000000000"),
     ],
     ids=["sweep", "unit-graph", "flat-front", "search", "state-cap", "dim-cap",
-         "oracle-cap", "table-kept", "verify-kept", "verify-grid"],
+         "oracle-cap", "table-kept", "verify-kept", "verify-grid", "unit-graph-wide",
+         "verify-width"],
 )
 def test_every_refusal_is_one_error_line(capsys, monkeypatch, argv, patch, line):
     # every cap and budget is worded by engine.charge and exits 2 through

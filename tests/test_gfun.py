@@ -122,15 +122,52 @@ def test_slot_bits_leave_two_spare_bits(gf_of):
             assert _slot_bits(edges) >= _widest(gf_of(s, n)) + 2, (s, n)
 
 
-@pytest.mark.parametrize(
-    "s,n,bits",
-    [(2, 9, 36), (3, 10, 38), (4, 12, 51), (6, 14, 38), (2, 10, 60), (4, 13, 80),
-     (2, 3, 4)],
-)
-def test_slot_bits_are_pinned(s, n, bits):
+def _hadamard_bits(edges):
+    """The slot width of the Hadamard bound of the whole I - M, stage 0 of
+    the contraction that _slot_bits runs."""
+    h2 = 1
+    for src, lst in enumerate(edges):
+        norms: dict = {src: 1}  # the diagonal's 1 and any self-loop add up
+        for dst, _, mult in lst:
+            norms[dst] = norms.get(dst, 0) + mult
+        h2 *= sum(v * v for v in norms.values())
+    return ((h2 - 1).bit_length() + 1) // 2 + 2
+
+
+# (s, n, the width the bound of the whole I - M gives, the contracted
+# width); each case's id names the first three
+SLOT_BITS = [(2, 9, 36, 33), (3, 10, 38, 29), (4, 12, 51, 34), (6, 14, 38, 20),
+             (2, 10, 60, 55), (4, 13, 80, 51), (2, 3, 4, 4)]
+
+
+@pytest.mark.parametrize("s,n,whole,bits", SLOT_BITS,
+                         ids=[f"{s}-{n}-{whole}" for s, n, whole, _ in SLOT_BITS])
+def test_slot_bits_are_pinned(s, n, whole, bits):
     # a wider slot stays exact but costs time in every product; at s2n3
     # H = 4 exactly, so ceil(log2 H) must not round a power of two up
-    assert _slot_bits(enumerate_states(s, n).edges) == bits
+    edges = enumerate_states(s, n).edges
+    assert (_slot_bits(edges), _hadamard_bits(edges)) == (bits, whole)
+    assert bits <= whole
+
+
+def test_contraction_narrows_a_cycle():
+    # 0 -> 1 -> ... -> 7 -> 0, the first edge of weight 2*z and the last of
+    # weight 3*z*t: stage 0 has H^2 = 5 * 2^6 * 10 (8 bits), and contracting
+    # states 1 .. 7 multiplies the weights into the self-loop 6*z^8*t at
+    # state 0, H = 1 + 6 (5 bits), which is exactly the widest coefficient
+    # of 1 - 6*z^8*t plus two spare bits
+    edges = (((1, 0, 2),),) + tuple(((i + 1, 0, 1),) for i in range(1, 7)) + (((0, 1, 3),),)
+    assert (_slot_bits(edges), _hadamard_bits(edges)) == (5, 8)
+    assert generating_function(edges).render() == "(1) / (1 - 6*z^8*t)"
+
+
+def test_an_entry_neither_minor_reads_need_not_fit():
+    # state 1 is unreachable, so its edge into 0 reaches neither minor: the
+    # contraction drops it and leaves B = 3, too narrow for its mult 1000,
+    # and the packed value it gets there changes nothing
+    edges = (((0, 1, 1),), ((0, 0, 1000),))
+    assert _slot_bits(edges) == 3
+    assert generating_function(edges).render() == "(1) / (1 - z*t)"
 
 
 @pytest.mark.parametrize("s,n,calls,terms", [(2, 6, 52, 105), (3, 9, 267, 746)])
@@ -268,6 +305,21 @@ GF_SWELL_DIGESTS = {
 def test_gf_swell_renders_are_pinned(gf_of, s, n):
     text = gf_of(s, n).render()
     assert hashlib.sha256(text.encode()).hexdigest() == GF_SWELL_DIGESTS[(s, n)]
+
+
+# the same digests for two wider systems, as printed with the slots of the
+# Hadamard bound of the whole I - M (80 and 91 bits in place of 51 and 52)
+WIDE_DIGESTS = {
+    (4, 13): "e7e210e3ee73cdd45b2c93cea3995d0815899e4d8e99c201d4edee2360ec4c8a",
+    (5, 15): "72be62209e298b0c70afd249bd6b9fe8542d595ad55078ec65780a6b639e5f42",
+}
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("s,n", sorted(WIDE_DIGESTS))
+def test_wide_renders_are_pinned(gf_of, s, n):
+    text = gf_of(s, n).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_DIGESTS[(s, n)]
 
 
 def test_denominator_normalized_to_unit_constant(gf_of):

@@ -256,5 +256,5 @@ def test_grid_charge_is_under_the_planned_sweeps(grid):
         into = [0] * len(edges)
         for dst, _, mult in (e for row in edges for e in row):
             into[dst] += mult
-        words += engine._sweep_words(s, n, m, sum(map(len, edges)), max(into))
+        words += engine._sweep_words(s, n, m, sum(map(len, edges)), (max(into) - 1).bit_length())
     assert refused.value.need <= words

@@ -294,7 +294,7 @@ def sweep_words(s, n, steps):
     for edges in graph.edges:
         for dst, _, mult in edges:
             into[dst] += mult
-    return _sweep_words(s, n, steps, sum(map(len, graph.edges)), max(into))
+    return _sweep_words(s, n, steps, sum(map(len, graph.edges)), (max(into) - 1).bit_length())
 
 
 def test_sweep_estimate_calibration():
@@ -305,10 +305,10 @@ def test_sweep_estimate_calibration():
     assert sweep_words(2, 8, 1000) == 3_300_392_875 < SWEEP_BUDGET
     assert sweep_words(3, 9, 80) == 531_342
     # every edge costs a word on every step, even on a one-state graph
-    assert _sweep_words(3, 1, 10**11, 1, 1) >= 10**11
+    assert _sweep_words(3, 1, 10**11, 1, 0) >= 10**11
     # count_tables(1, 2, 1000) keeps 9.6e8 bits (238 MiB peak on a 2-core VM);
-    # its graph has one state with summed multiplicity 4 into it
-    assert _sweep_bits(1, 2, 1000, 4) == 1_337_337_000 < TABLE_BUDGET
+    # its graph has one state with summed multiplicity 4 into it, 2 bits a step
+    assert _sweep_bits(1, 2, 1000, 2) == 1_337_337_000 < TABLE_BUDGET
 
 
 def test_sweep_budget_admits_its_own_estimate(monkeypatch):
