@@ -27,10 +27,12 @@ W^m P = P Q^m; when the flat front is a block of its own, its entry of
 W^m equals that of Q^m, and every count table and the generating function
 are the same on the quotient Q.  ``enumerate_states`` refines the mirror
 graph to the coarsest such partition by splitting blocks on those sums
-until none splits (Buchholz, *J. Appl. Prob.* 31, 1994; Derisavi,
-Hermanns and Sanders, *Inf. Process. Lett.* 87, 2003), signing no state
+until none splits (Buchholz, *J. Appl. Prob.* 31, 1994), signing no state
 that is alone in its block, and returns the quotient, 29-52 % smaller
-than the mirror graph on the systems the README lists.  A multiplicity
+than the mirror graph on the systems the README lists; splitter schemes
+reach the same partition in O(m log n) time (Derisavi, Hermanns and
+Sanders, *Inf. Process. Lett.* 87, 2003; Valmari and Franceschinis,
+*TACAS* 2010).  A multiplicity
 is then any integer >= 1: the number of placement sets from a block's
 representative front that land in the target block with k squares.  For
 s = 1 every placement returns to the single flat front and the
@@ -60,13 +62,14 @@ from math import prod
 STATE_CAP = 100_000
 DIM_CAP = 400
 DEFAULT_CELL_CAP = 64
-# Budgets on cost, not options: the transitions the front search builds
-# (s = 2, n = 22 builds 1 182 925), the big-int word operations a sweep
-# is estimated to need (s = 2, n = 8 to length 1000 needs about 3.3e9) and
-# the bits of the tables count_tables keeps (estimated at 2.7e9 there).
-# The s = 1 graph is charged as one sweep step before it is built, which
-# admits widths up to about 8 600.
-TRANSITION_BUDGET = 2_000_000
+# Budgets on cost, not options: the lanes of the fronts the front search
+# builds, n per transition (s = 2, n = 22 builds 1 182 925 transitions,
+# 26 024 350 lanes), the big-int word operations a sweep is estimated to
+# need (s = 2, n = 8 to length 1000 needs about 3.3e9) and the bits of the
+# tables count_tables keeps (estimated at 2.7e9 there).  The s = 1 graph
+# is charged as one sweep step before it is built, which admits widths up
+# to about 8 600.
+TRANSITION_BUDGET = 30_000_000
 SWEEP_BUDGET = 10**10
 TABLE_BUDGET = 4 * 10**9
 
@@ -113,14 +116,6 @@ def _sweep_words(s, n, steps, edges, b):
     return edges * (steps + _sweep_bits(s, n, steps, b) // 64)
 
 
-def _charge_unit_graph(n):
-    """Refuse the s = 1 graph of width n before its binomials, about n^2
-    bits, are built: it is charged as one sweep step over its n + 1 edges,
-    whose multiplicities sum to 2^n, so b = n."""
-    charge(f"estimated word operations of the s = 1 graph of width {n}",
-           _sweep_words(1, n, 1, n + 1, n), SWEEP_BUDGET)
-
-
 class _Lower(dict):
     """``str.translate`` table of the row advance: a lane one lower, never below 0."""
 
@@ -164,14 +159,15 @@ def _run_sets(s: int, n: int) -> list:
     """a(r) for r = 0 .. n: the anchor sets of a run of r flat lanes.
 
     a(r) = a(r - 1) + a(r - s), with a(r) = 1 for r < s.  The table stops,
-    and CapExceeded is raised, as soon as an entry passes
-    TRANSITION_BUDGET: a(n) is the flat front's transition count, so that
-    front alone would pass it.
+    and CapExceeded is raised, as soon as an entry's n lanes per transition
+    pass TRANSITION_BUDGET (at a(0) if n does): a(n) is the flat front's
+    transition count, so that front alone would pass it.
     """
-    a = [1] * min(s, n + 1)
-    while len(a) <= n and a[-1] <= TRANSITION_BUDGET:
+    a = [1] * min(s, n + 1) if n <= TRANSITION_BUDGET else [1]
+    while len(a) <= n and a[-1] * n <= TRANSITION_BUDGET:
         a.append(a[-1] + a[-s])
-    charge("lower bound on the transitions of the front search", a[-1], TRANSITION_BUDGET)
+    charge("lower bound on the lanes of the front search's transitions",
+           a[-1] * n, TRANSITION_BUDGET)
     return a
 
 
@@ -236,8 +232,11 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
     if s == 1:
         # every lane is always flat and every advance returns to the flat
         # front, so the 2^n placement sets aggregate to binomials, each
-        # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1)
-        _charge_unit_graph(n)
+        # from the last: C(n, k+1) = C(n, k) * (n - k) / (k + 1); their
+        # n^2 bits are charged first, as one sweep step over n + 1 edges
+        # whose multiplicities sum to 2^n, so b = n
+        charge(f"estimated word operations of the s = 1 graph of width {n}",
+               _sweep_words(1, n, 1, n + 1, n), SWEEP_BUDGET)
         binomials = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
         row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))
@@ -249,15 +248,16 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
     # equal to a class form lies in that class, which is its state.
     seen = {_advance_class(start, s): 0}
     edges = []  # per state, the (state, k) of each transition
-    built = 0  # transitions built so far
+    built = 0  # lanes of the transitions built so far
+    widest = sets[n] * n  # the flat front's lanes, the most of any front
     for h in states:  # states grows as classes are met: a breadth-first walk
-        # no front has more transitions than the flat one, so only a front
-        # that could pass the budget is counted before it is expanded
-        if built + sets[n] > TRANSITION_BUDGET:
-            charge("lower bound on the transitions of the front search",
-                   built + _transition_count(h, sets), TRANSITION_BUDGET)
+        # only a front that could pass the budget is counted before it is
+        # expanded
+        if built + widest > TRANSITION_BUDGET:
+            charge("lower bound on the lanes of the front search's transitions",
+                   built + _transition_count(h, sets) * n, TRANSITION_BUDGET)
         moves = transitions(h, s)
-        built += len(moves)
+        built += len(moves) * n
         for nxt, _ in moves:
             if nxt not in seen:
                 cls = _advance_class(nxt, s)

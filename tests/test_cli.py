@@ -187,11 +187,14 @@ def test_state_cap_exit_code(capsys, monkeypatch):
 
 
 def test_verify_state_cap_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "STATE_CAP", 10)
-    code, out, err = run(capsys, "verify")
+    # the grid charge is 5 * (14 + 2) = 80 classes, under the cap, and
+    # s = 2, n = 14 alone meets 184, so a front search inside verify passes it
+    monkeypatch.setattr(engine, "STATE_CAP", 100)
+    code, out, err = run(capsys, "verify", "--n-max", "14")
     assert code == 2
     assert out == ""
-    assert err.endswith(", over the limit of 10\n")
+    assert err.startswith("error: lower bound on the advance classes of the front search: ")
+    assert err.endswith(", over the limit of 100\n")
     assert "Traceback" not in err
 
 
@@ -245,12 +248,16 @@ def _oracle_capped_at(cap):
          "estimated word operations of the s = 1 graph of width 100000: "
          "15625468853126, over the limit of 10000000000"),
         (["gf", "--s", "2", "--n", "40"], None,
-         "lower bound on the transitions of the front search: 2178309, "
-         "over the limit of 2000000"),
-        # s = 2, n = 14 builds 5353 transitions, charged front by front
-        (["gf", "--s", "2", "--n", "14"], (engine, "TRANSITION_BUDGET", 5352),
-         "lower bound on the transitions of the front search: 5353, "
-         "over the limit of 5352"),
+         "lower bound on the lanes of the front search's transitions: 33281600, "
+         "over the limit of 30000000"),
+        # the flat front's anchor table stops at its first entry past the budget
+        (["gf", "--s", "20000", "--n", "40000"], None,
+         "lower bound on the lanes of the front search's transitions: 30040000, "
+         "over the limit of 30000000"),
+        # s = 2, n = 14 builds 5353 transitions of 14 lanes, charged front by front
+        (["gf", "--s", "2", "--n", "14"], (engine, "TRANSITION_BUDGET", 5353 * 14 - 1),
+         "lower bound on the lanes of the front search's transitions: 74942, "
+         "over the limit of 74941"),
         (["table", "--s", "2", "--n", "16", "--m", "16"], (engine, "STATE_CAP", 100),
          "lower bound on the advance classes of the front search: 101, "
          "over the limit of 100"),
@@ -268,23 +275,26 @@ def _oracle_capped_at(cap):
         (["verify", "--s-max", "2", "--n-max", "2", "--m-max", "3000"], None,
          "estimated bits of the 3001 kept tables: 9013506500, "
          "over the limit of 4000000000"),
-        # a word operation per planned step at least, charged before the plan
+        # an advance class per planned graph at least, charged before the plan
         (["verify", "--s-max", "1000000000"], None,
-         "lower bound on the word operations of the verify grid's sweeps: "
-         "2000000090000000000, over the limit of 10000000000"),
+         "lower bound on the advance classes of the verify grid's front searches: "
+         "12000000000, over the limit of 100000"),
+        # its plan would hold 6.02e8 entries
+        (["verify", "--s-max", "70000", "--n-max", "8600", "--m-max", "0"], None,
+         "lower bound on the advance classes of the verify grid's front searches: "
+         "602140000, over the limit of 100000"),
         # priced from the width alone: 2^n, about 12.5 GB here, is never built
         (["gf", "--s", "1", "--n", "100000000000"], None,
          "estimated word operations of the s = 1 graph of width 100000000000: "
          "15625000000468750000103125000001, over the limit of 10000000000"),
-        # the grid charge admits it (50), but the plan would sweep the s = 1
-        # graph of width 10^8, and that is charged before the plan is built
+        # a small m_max does not hide a wide grid
         (["verify", "--n-max", "100000000", "--m-max", "0"], None,
-         "estimated word operations of the s = 1 graph of width 100000000: "
-         "15625000468750103125001, over the limit of 10000000000"),
+         "lower bound on the advance classes of the verify grid's front searches: "
+         "500000010, over the limit of 100000"),
     ],
-    ids=["sweep", "unit-graph", "flat-front", "search", "state-cap", "dim-cap",
-         "oracle-cap", "table-kept", "verify-kept", "verify-grid", "unit-graph-wide",
-         "verify-width"],
+    ids=["sweep", "unit-graph", "flat-front", "wide-front", "search", "state-cap",
+         "dim-cap", "oracle-cap", "table-kept", "verify-kept", "verify-grid",
+         "verify-plan", "unit-graph-wide", "verify-width"],
 )
 def test_every_refusal_is_one_error_line(capsys, monkeypatch, argv, patch, line):
     # every cap and budget is worded by engine.charge and exits 2 through

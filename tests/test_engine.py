@@ -296,8 +296,9 @@ def test_cap_defaults_are_the_documented_ones():
     assert STATE_CAP == 100_000
     assert DIM_CAP == 400
     assert DEFAULT_CELL_CAP == 64
-    # s = 2, n = 22 builds 1 182 925 transitions, and must stay admitted
-    assert TRANSITION_BUDGET == 2_000_000
+    # s = 2, n = 22 builds 1 182 925 transitions, 26 024 350 lanes, and
+    # must stay admitted
+    assert TRANSITION_BUDGET == 30_000_000
     assert SWEEP_BUDGET == 10**10
     assert TABLE_BUDGET == 4 * 10**9
 
@@ -346,33 +347,36 @@ def test_transition_count_is_the_number_built(s, data):
 
 
 def test_transition_budget_charges_every_transition(monkeypatch):
-    # s = 2, n = 14 builds 5353 transitions over its 184 fronts
-    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 5353)
+    # s = 2, n = 14 builds 5353 transitions of 14 lanes over its 184 fronts
+    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 5353 * 14)
     assert enumerate_states(2, 14).dim == 184
-    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 5352)
+    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 5353 * 14 - 1)
     with pytest.raises(CapExceeded) as err:
         enumerate_states(2, 14)
-    assert err.value.cap == 5352
-    assert err.value.need > 5352
+    assert err.value.cap == 5353 * 14 - 1
+    assert err.value.need == 5353 * 14
 
 
 def test_transition_budget_refuses_a_wide_flat_front_before_building(monkeypatch):
+    # (10^9, 10^9) passes it on the width alone, before a run of 10^9 lanes
+    # is tabled
     calls = counting_transitions(monkeypatch)
-    for n in (40, 10**9):
+    for s, n in ((2, 40), (2, 10**9), (4000, 8000), (20000, 40000), (10**9, 10**9)):
         with pytest.raises(CapExceeded) as err:
-            enumerate_states(2, n)
+            enumerate_states(s, n)
         assert err.value.cap == TRANSITION_BUDGET
         assert str(err.value).endswith(f", over the limit of {TRANSITION_BUDGET}")
     assert calls == []
 
 
 def test_transition_budget_refuses_an_anchor_count_equal_to_it(monkeypatch):
-    # at s = 2 the flat runs admit 1, 1, 2, 3, 5, 8, 13 anchor sets: the
-    # table runs on past an entry equal to the budget, to the 13 that passes it
-    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 8)
+    # at s = 2 the flat runs admit 1, 1, 2, 3, 5, 8, 13 anchor sets, of 10
+    # lanes each at n = 10: the table runs on past an entry equal to the
+    # budget, to the 130 that passes it
+    monkeypatch.setattr(engine, "TRANSITION_BUDGET", 80)
     with pytest.raises(CapExceeded) as err:
         enumerate_states(2, 10)
-    assert (err.value.need, err.value.cap) == (13, 8)
+    assert (err.value.need, err.value.cap) == (130, 80)
 
 
 def test_rejects_degenerate_parameters():

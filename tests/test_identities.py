@@ -246,15 +246,11 @@ def test_plan_is_what_the_checks_read(grid):
 
 @settings(deadline=None, max_examples=25)
 @given(_grids)
-def test_grid_charge_is_under_the_planned_sweeps(grid):
-    with mock.patch.object(identities, "SWEEP_BUDGET", -1):
+def test_grid_charge_is_under_the_planned_classes(grid):
+    # each planned graph's search stores at least as many advance classes
+    # as the graph has states
+    with mock.patch.object(engine, "STATE_CAP", -1):
         with pytest.raises(CapExceeded) as refused:
             run_verification(*grid)
-    words = 0
-    for (s, n), m in _plan(*grid)[0].items():
-        edges = enumerate_states(s, n).edges
-        into = [0] * len(edges)
-        for dst, _, mult in (e for row in edges for e in row):
-            into[dst] += mult
-        words += engine._sweep_words(s, n, m, sum(map(len, edges)), (max(into) - 1).bit_length())
-    assert refused.value.need <= words
+    assert "verify grid" in str(refused.value)
+    assert refused.value.need <= sum(enumerate_states(*sn).dim for sn in _plan(*grid)[0])

@@ -9,10 +9,13 @@ mutant that passes the suite survives.  The working tree is never touched.
 
     python3 tools/mutation_probe.py poly gfun
 
-Each module gets ``SITES`` sites for each seed in ``SEEDS``.  One line per
-mutant goes to stdout, then the kill count.  A mutant that runs past
-``TIMEOUT`` seconds counts as killed.  No bytecode is written, so every
-mutant is compiled from its own source.
+Each module gets ``SITES`` sites for each seed in ``SEEDS``.  The clean
+suite's time goes to stdout, then one line per mutant, then the kill
+count.  A mutant that runs ``SLOWDOWN`` times as long as the clean suite
+(and at least ``FLOOR`` seconds) counts as killed, and so does one that
+runs out of ``MEMORY`` bytes of address space: a mutant that stops a
+budget charging can otherwise run for minutes or build gigabytes.  No
+bytecode is written, so every mutant is compiled from its own source.
 """
 
 from __future__ import annotations
@@ -21,16 +24,20 @@ import argparse
 import ast
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SITES = 12  # per module and seed
 SEEDS = (1, 2)
-TIMEOUT = 300.0  # seconds per suite run
+SLOWDOWN = 10  # a mutant's time limit, as a multiple of the clean suite's
+FLOOR = 60.0  # seconds, the least time limit
+MEMORY = 3 * 2**30  # bytes of address space per suite run
 
 _BINOP = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult,
@@ -69,8 +76,12 @@ def mutate(node: ast.AST, index) -> None:
         node.op = _BINOP[type(node.op)]()
 
 
-def run_suite(tree_dir: Path) -> bool:
-    """True when tier-1 passes on the copy."""
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
+def run_suite(tree_dir: Path, timeout=None) -> bool:
+    """True when tier-1 passes on the copy within ``timeout`` seconds."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", "tests"]
     # a .pyc is checked only by source mtime and size, which an operator or
@@ -79,7 +90,7 @@ def run_suite(tree_dir: Path) -> bool:
     try:
         done = subprocess.run(cmd, cwd=tree_dir, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=TIMEOUT)
+                              timeout=timeout, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
@@ -94,9 +105,13 @@ def main() -> int:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_out"))
+        start = time.perf_counter()
         if not run_suite(copy):
             print("the unmutated tree fails the suite", file=sys.stderr)
             return 2
+        clean = time.perf_counter() - start
+        timeout = max(FLOOR, SLOWDOWN * clean)
+        print(f"clean suite: {clean:.1f} s; a mutant's limit: {timeout:.0f} s", flush=True)
         killed = total = 0
         for module in args.modules:
             path = copy / "src" / "sqtilings" / f"{module}.py"
@@ -110,7 +125,7 @@ def main() -> int:
                 node, index, what = sites(tree)[pick]
                 mutate(node, index)
                 path.write_text(ast.unparse(tree))
-                survived = run_suite(copy)
+                survived = run_suite(copy, timeout)
                 path.write_text(source)
                 total += 1
                 killed += not survived
