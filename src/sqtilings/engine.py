@@ -7,7 +7,8 @@ square still stick out past the current base line; every entry is in
 pairwise disjoint squares on runs of currently flat lanes, then reduce
 every lane's overhang by one (never below zero).  Anchoring k squares in
 one advance contributes a factor t^k, and the advance itself a factor z.
-The front search holds a front as a str of chr(overhang) per lane: anchors
+The front search holds a front as a str of chr(overhang) per lane (a
+search that fits a square has s <= 5476, by TRANSITION_BUDGET): anchors
 are found with ``str.find``, the row advance is one ``str.translate`` and
 each next front one splice.  ``TransferGraph.states`` holds int tuples.
 
@@ -53,8 +54,7 @@ fronts gives.  At s = 2 the classes are already the quotient: n = 14 has
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import accumulate, groupby
-from math import prod
+from itertools import accumulate
 
 # Caps on size, not options: the advance classes the front search stores
 # and the unknowns gfun eliminates.  Beside them, in the one module every
@@ -64,7 +64,8 @@ DIM_CAP = 400
 DEFAULT_CELL_CAP = 64
 # Budgets on cost, not options: the lanes of the fronts the front search
 # builds, n per transition (s = 2, n = 22 builds 1 182 925 transitions,
-# 26 024 350 lanes), the big-int word operations a sweep is estimated to
+# 26 024 350 lanes; a square that fits forces at least (s + 1) * s, so
+# s <= 5476 there), the big-int word operations a sweep is estimated to
 # need (s = 2, n = 8 to length 1000 needs about 3.3e9) and the bits of the
 # tables count_tables keeps (estimated at 2.7e9 there).  The s = 1 graph
 # is charged as one sweep step before it is built, which admits widths up
@@ -72,6 +73,7 @@ DEFAULT_CELL_CAP = 64
 TRANSITION_BUDGET = 30_000_000
 SWEEP_BUDGET = 10**10
 TABLE_BUDGET = 4 * 10**9
+_LANES = "lower bound on the lanes of the front search's transitions"
 
 
 class CapExceeded(RuntimeError):
@@ -155,29 +157,19 @@ def transitions(front: str, s: int) -> list:
     return out
 
 
-def _run_sets(s: int, n: int) -> list:
-    """a(r) for r = 0 .. n: the anchor sets of a run of r flat lanes.
+def _run_sets(s: int, n: int) -> int:
+    """a(n), the flat front's transition count: the anchor sets of a run of
+    n flat lanes, a(r) = a(r - 1) + a(r - s) with a(r) = 1 for r < s.
 
-    a(r) = a(r - 1) + a(r - s), with a(r) = 1 for r < s.  The table stops,
-    and CapExceeded is raised, as soon as an entry's n lanes per transition
-    pass TRANSITION_BUDGET (at a(0) if n does): a(n) is the flat front's
-    transition count, so that front alone would pass it.
+    The table of a(r) stops, and CapExceeded is raised, as soon as an
+    entry's n lanes per transition pass TRANSITION_BUDGET (at a(0) if n
+    does), since the flat front alone would pass it.
     """
     a = [1] * min(s, n + 1) if n <= TRANSITION_BUDGET else [1]
     while len(a) <= n and a[-1] * n <= TRANSITION_BUDGET:
         a.append(a[-1] + a[-s])
-    charge("lower bound on the lanes of the front search's transitions",
-           a[-1] * n, TRANSITION_BUDGET)
-    return a
-
-
-def _transition_count(front: str, sets: list) -> int:
-    """len(transitions(front, s)), read from ``sets`` = _run_sets(s, n).
-
-    Anchor sets in different maximal flat runs combine freely, so the
-    count is the product of a(r) over the runs.
-    """
-    return prod(sets[len(list(run))] for x, run in groupby(front) if x == "\0")
+    charge(_LANES, a[-1] * n, TRANSITION_BUDGET)
+    return a[-1]
 
 
 def _advance_class(front: str, s: int) -> str:
@@ -240,7 +232,12 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
         binomials = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
         row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))
-    sets = _run_sets(s, n)
+    flat = _run_sets(s, n)
+    if n >= s:
+        # a square anchored at lane 0 of the flat front leaves fronts whose
+        # first s lanes read s - 1, .., 1: s - 1 more classes, each expanded
+        # once and at least by its row advance of n lanes; exact at n = s
+        charge(_LANES, (flat + s - 1) * n, TRANSITION_BUDGET)
     start = "\0" * n
     states = [start]  # the first front met of each advance class
     # advance class, or next front as transitions returns it, -> state.
@@ -249,15 +246,10 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
     seen = {_advance_class(start, s): 0}
     edges = []  # per state, the (state, k) of each transition
     built = 0  # lanes of the transitions built so far
-    widest = sets[n] * n  # the flat front's lanes, the most of any front
     for h in states:  # states grows as classes are met: a breadth-first walk
-        # only a front that could pass the budget is counted before it is
-        # expanded
-        if built + widest > TRANSITION_BUDGET:
-            charge("lower bound on the lanes of the front search's transitions",
-                   built + _transition_count(h, sets) * n, TRANSITION_BUDGET)
         moves = transitions(h, s)
         built += len(moves) * n
+        charge(_LANES, built, TRANSITION_BUDGET)
         for nxt, _ in moves:
             if nxt not in seen:
                 cls = _advance_class(nxt, s)

@@ -160,8 +160,9 @@ def test_gf_exact_output(capsys):
     (("gf", "--s", "2000000", "--n", "3"), "(1) / (1 - z)"),
 ])
 def test_square_wider_than_any_code_point_fits_nowhere(capsys, argv, line):
-    # chr(s - 1) does not exist for s >= 0x110000; the front search asks
-    # for it only for a front where a square fits
+    # chr(s - 1) does not exist for s > 0x110000; the front search asks
+    # for it only for a front where a square fits, and where one fits the
+    # lanes budget refuses every s > 5476 before the search starts
     assert run(capsys, *argv) == (0, line + "\n", "")
 
 
@@ -291,10 +292,20 @@ def _oracle_capped_at(cap):
         (["verify", "--n-max", "100000000", "--m-max", "0"], None,
          "lower bound on the advance classes of the verify grid's front searches: "
          "500000010, over the limit of 100000"),
+        # the s - 1 fronts one square leaves are priced before the search:
+        # (s + 1) * s lanes at n = s, the number the search would reach
+        (["gf", "--s", "5477", "--n", "5477"], None,
+         "lower bound on the lanes of the front search's transitions: 30003006, "
+         "over the limit of 30000000"),
+        # and before chr(s - 1), which does not exist here, is asked for
+        (["gf", "--s", "1200000", "--n", "1200000"], None,
+         "lower bound on the lanes of the front search's transitions: 1440001200000, "
+         "over the limit of 30000000"),
     ],
     ids=["sweep", "unit-graph", "flat-front", "wide-front", "search", "state-cap",
          "dim-cap", "oracle-cap", "table-kept", "verify-kept", "verify-grid",
-         "verify-plan", "unit-graph-wide", "verify-width"],
+         "verify-plan", "unit-graph-wide", "verify-width", "square-chain",
+         "square-chain-wide"],
 )
 def test_every_refusal_is_one_error_line(capsys, monkeypatch, argv, patch, line):
     # every cap and budget is worded by engine.charge and exits 2 through

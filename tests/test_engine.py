@@ -17,8 +17,6 @@ from sqtilings.engine import (
     TRANSITION_BUDGET,
     CapExceeded,
     _advance_class,
-    _run_sets,
-    _transition_count,
     enumerate_states,
     transitions,
 )
@@ -339,13 +337,6 @@ def test_each_advance_class_is_expanded_once(monkeypatch):
     assert len(calls) == 184
 
 
-@given(st.integers(2, 5), st.data())
-def test_transition_count_is_the_number_built(s, data):
-    front = data.draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=12))
-    sets = _run_sets(s, len(front))
-    assert _transition_count(_front(front), sets) == len(_advances(front, s))
-
-
 def test_transition_budget_charges_every_transition(monkeypatch):
     # s = 2, n = 14 builds 5353 transitions of 14 lanes over its 184 fronts
     monkeypatch.setattr(engine, "TRANSITION_BUDGET", 5353 * 14)
@@ -359,13 +350,30 @@ def test_transition_budget_charges_every_transition(monkeypatch):
 
 def test_transition_budget_refuses_a_wide_flat_front_before_building(monkeypatch):
     # (10^9, 10^9) passes it on the width alone, before a run of 10^9 lanes
-    # is tabled
+    # is tabled; from (5477, 5477) on, the flat front fits it but not with
+    # the s - 1 fronts its square leaves, and from s = 0x110001 on
+    # chr(s - 1) would not exist
     calls = counting_transitions(monkeypatch)
-    for s, n in ((2, 40), (2, 10**9), (4000, 8000), (20000, 40000), (10**9, 10**9)):
+    for s, n in ((2, 40), (2, 10**9), (4000, 8000), (20000, 40000), (10**9, 10**9),
+                 (5477, 5477), (100000, 100000), (1114113, 1114113), (1200000, 1200000)):
         with pytest.raises(CapExceeded) as err:
             enumerate_states(s, n)
         assert err.value.cap == TRANSITION_BUDGET
         assert str(err.value).endswith(f", over the limit of {TRANSITION_BUDGET}")
+    assert calls == []
+
+
+@pytest.mark.parametrize("s", range(2, 13))
+def test_square_chain_bound_is_exact_at_n_equal_to_s(monkeypatch, s):
+    # the flat front's 2 transitions and the s - 1 fronts of one square,
+    # each expanding its row advance only: (s + 1) * s lanes in all
+    monkeypatch.setattr(engine, "TRANSITION_BUDGET", (s + 1) * s)
+    assert enumerate_states(s, s).dim == s
+    monkeypatch.setattr(engine, "TRANSITION_BUDGET", (s + 1) * s - 1)
+    calls = counting_transitions(monkeypatch)
+    with pytest.raises(CapExceeded) as err:
+        enumerate_states(s, s)
+    assert err.value.need == (s + 1) * s
     assert calls == []
 
 
