@@ -7,10 +7,13 @@ square still stick out past the current base line; every entry is in
 pairwise disjoint squares on runs of currently flat lanes, then reduce
 every lane's overhang by one (never below zero).  Anchoring k squares in
 one advance contributes a factor t^k, and the advance itself a factor z.
-The front search holds a front as a str of chr(overhang) per lane (a
-search that fits a square has s <= 5476, by TRANSITION_BUDGET): anchors
-are found with ``str.find``, the row advance is one ``str.translate`` and
-each next front one splice.  ``TransferGraph.states`` holds int tuples.
+A width no square fits (s > n) is answered with its one flat state, so
+every front search fits a square and has s <= 5476, by TRANSITION_BUDGET.
+It holds a front as a str of chr(overhang) per lane: ``str.find`` finds
+the anchors, one ``str.translate`` advances the row and each next front
+is one splice; ``TransferGraph.states`` holds int tuples.  A height of
+128 or more leaves ``translate``'s ASCII fast path: that is most of the
+2.4 s that refusing (700, 1300) takes, and it is accepted.
 
 Mirroring the board left to right maps the front graph onto itself and
 fixes the all-flat start front, so a front and its mirror image are
@@ -40,19 +43,21 @@ s = 1 every placement returns to the single flat front and the
 multiplicities are binomials.
 
 Before a front is expanded, ``enumerate_states`` looks up its advance
-class: the mirror-canonical form of the front with every maximal run of
-fewer than s flat lanes raised to height 1.  No square fits in such a run
-and its lanes read 0 after the advance either way, so the fronts of one
-class have the same transitions up to mirroring, and merging them is
-itself an exact lumping, applied before expansion instead of after.  Each
-class is expanded once, from the first front met in it, which stays its
-representative, so the quotient is the one the refinement of all mirror
-fronts gives.  At s = 2 the classes are already the quotient: n = 14 has
-184 classes against 322 mirror fronts, n = 18 has 1052 against 2135.
+class, found with one ``re`` substitution: the mirror-canonical form of
+the front with every maximal run of fewer than s flat lanes raised to
+height 1.  No square fits in such a run and its lanes read 0 after the
+advance either way, so the fronts of one class have the same transitions
+up to mirroring, and merging them is itself an exact lumping, applied
+before expansion instead of after.  Each class is expanded once, from the
+first front met in it, which stays its representative, so the quotient is
+the one the refinement of all mirror fronts gives.  At s = 2 the classes
+are already the quotient: n = 14 has 184 classes against 322 mirror
+fronts, n = 18 has 1052 against 2135.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, namedtuple
 from itertools import accumulate
 
@@ -64,8 +69,7 @@ DIM_CAP = 400
 DEFAULT_CELL_CAP = 64
 # Budgets on cost, not options: the lanes of the fronts the front search
 # builds, n per transition (s = 2, n = 22 builds 1 182 925 transitions,
-# 26 024 350 lanes; a square that fits forces at least (s + 1) * s, so
-# s <= 5476 there), the big-int word operations a sweep is estimated to
+# 26 024 350 lanes), the big-int word operations a sweep is estimated to
 # need (s = 2, n = 8 to length 1000 needs about 3.3e9) and the bits of the
 # tables count_tables keeps (estimated at 2.7e9 there).  The s = 1 graph
 # is charged as one sweep step before it is built, which admits widths up
@@ -126,6 +130,7 @@ class _Lower(dict):
 
 
 _LOWER = _Lower()
+_FLAT_RUN = re.compile("\0+")
 
 
 def transitions(front: str, s: int) -> list:
@@ -144,7 +149,7 @@ def transitions(front: str, s: int) -> list:
         free.append(p)
         p = front.find(flat, p + 1)
     out = [(front.translate(_LOWER), 0)]
-    fill = chr(s - 1) * s if free else ""  # asked for only where a square fits
+    fill = chr(s - 1) * s
     lasts = [-s]  # the last anchor of each set in out; none in the empty set
     # each set is one splice into the front of the set less its last
     # anchor; the loop also visits the sets it appends, and extending them
@@ -158,14 +163,15 @@ def transitions(front: str, s: int) -> list:
 
 
 def _run_sets(s: int, n: int) -> int:
-    """a(n), the flat front's transition count: the anchor sets of a run of
-    n flat lanes, a(r) = a(r - 1) + a(r - s) with a(r) = 1 for r < s.
+    """a(n), the flat front's transition count where a square fits: the
+    anchor sets of a run of n flat lanes, a(r) = a(r - 1) + a(r - s) with
+    a(r) = 1 for r < s <= n.
 
-    The table of a(r) stops, and CapExceeded is raised, as soon as an
-    entry's n lanes per transition pass TRANSITION_BUDGET (at a(0) if n
-    does), since the flat front alone would pass it.
+    The table of a(r) stops, and CapExceeded is raised, once an entry's
+    n lanes per transition pass TRANSITION_BUDGET (at a(0) if n does):
+    the flat front alone would pass it.
     """
-    a = [1] * min(s, n + 1) if n <= TRANSITION_BUDGET else [1]
+    a = [1] * s if n <= TRANSITION_BUDGET else [1]
     while len(a) <= n and a[-1] * n <= TRANSITION_BUDGET:
         a.append(a[-1] + a[-s])
     charge(_LANES, a[-1] * n, TRANSITION_BUDGET)
@@ -174,20 +180,9 @@ def _run_sets(s: int, n: int) -> int:
 
 def _advance_class(front: str, s: int) -> str:
     """The mirror-canonical form of ``front`` with every maximal run of
-    fewer than s flat lanes raised to height 1.
-
-    No square fits in such a run, and its lanes read 0 after the advance
-    either way, so a front and its raised form have the same transitions.
-    """
-    raised = front
-    run = 0  # flat lanes ending before lane i
-    for i, x in enumerate(front + "\1"):  # a raised lane past the end ends the last run
-        if x == "\0":
-            run += 1
-        elif run:
-            if run < s:
-                raised = raised[:i - run] + "\1" * run + raised[i:]
-            run = 0
+    fewer than s flat lanes raised to height 1: no square fits in such a
+    run, and its lanes read 0 after the advance either way."""
+    raised = _FLAT_RUN.sub(lambda m: m[0] if len(m[0]) >= s else "\1" * len(m[0]), front)
     return min(raised, raised[::-1])
 
 
@@ -232,12 +227,14 @@ def enumerate_states(s: int, n: int) -> TransferGraph:
         binomials = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
         row = tuple((0, k, c) for k, c in enumerate(binomials))
         return TransferGraph(s, n, ((0,) * n,), (row,))
-    flat = _run_sets(s, n)
-    if n >= s:
-        # a square anchored at lane 0 of the flat front leaves fronts whose
-        # first s lanes read s - 1, .., 1: s - 1 more classes, each expanded
-        # once and at least by its row advance of n lanes; exact at n = s
-        charge(_LANES, (flat + s - 1) * n, TRANSITION_BUDGET)
+    if s > n:
+        # no square fits: the flat front's one transition returns to it
+        charge(_LANES, n, TRANSITION_BUDGET)
+        return TransferGraph(s, n, ((0,) * n,), (((0, 0, 1),),))
+    # a square anchored at lane 0 of the flat front leaves fronts whose
+    # first s lanes read s - 1, .., 1: s - 1 more classes, each expanded
+    # once and at least by its row advance of n lanes; exact at n = s
+    charge(_LANES, (_run_sets(s, n) + s - 1) * n, TRANSITION_BUDGET)
     start = "\0" * n
     states = [start]  # the first front met of each advance class
     # advance class, or next front as transitions returns it, -> state.

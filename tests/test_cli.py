@@ -160,9 +160,9 @@ def test_gf_exact_output(capsys):
     (("gf", "--s", "2000000", "--n", "3"), "(1) / (1 - z)"),
 ])
 def test_square_wider_than_any_code_point_fits_nowhere(capsys, argv, line):
-    # chr(s - 1) does not exist for s > 0x110000; the front search asks
-    # for it only for a front where a square fits, and where one fits the
-    # lanes budget refuses every s > 5476 before the search starts
+    # chr(s - 1) does not exist for s > 0x110000; a width no square fits
+    # is answered with its one state before any front search, and where
+    # one fits the lanes budget refuses every s > 5476 before the search
     assert run(capsys, *argv) == (0, line + "\n", "")
 
 

@@ -84,10 +84,15 @@ def test_single_column_square_collapses_to_binomials():
         assert g.edges[0] == tuple((0, k, comb(n, k)) for k in range(n + 1))
 
 
-def test_oversized_square_leaves_one_state():
-    g = enumerate_states(3, 2)
-    assert g.dim == 1
-    assert g.edges == (((0, 0, 1),),)
+def test_oversized_square_leaves_one_state(monkeypatch):
+    # no square fits, so the one-state graph is returned with no front
+    # walked, however wide: 10^6 lanes, and s past every code point
+    calls = counting_transitions(monkeypatch)
+    for s, n in ((3, 2), (7, 6), (2000000, 3), (10**6 + 1, 10**6)):
+        g = enumerate_states(s, n)
+        assert g.states == ((0,) * n,)
+        assert g.edges == (((0, 0, 1),),)
+    assert calls == []
 
 
 def _even_run_vectors(n):
@@ -163,6 +168,15 @@ def test_advance_class_is_idempotent(s):
         for h in _reachable(s, n):
             cls = _advance_class(_front(h), s)
             assert _advance_class(cls, s) == cls, (s, h)
+
+
+@given(st.integers(min_value=2, max_value=300).flatmap(lambda s: st.tuples(
+    st.just(s), st.lists(st.just(0) | st.integers(0, s - 1), min_size=1, max_size=40))))
+def test_advance_class_raises_every_short_flat_run(case):
+    # any front, reachable or not: heights past 127, runs at either end
+    s, h = case
+    r = _raised(h, s)
+    assert _advance_class(_front(h), s) == _front(min(r, r[::-1]))
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=9))
@@ -309,13 +323,22 @@ def test_state_cap(monkeypatch):
     assert err.value.need == 101
     assert str(err.value).endswith(", over the limit of 100")
     # s = 2, n = 14 meets 184 advance classes, so a cap of 184 admits it
+    # and one of 183 does not
     monkeypatch.setattr(engine, "STATE_CAP", 184)
     assert enumerate_states(2, 14).dim == 184
+    monkeypatch.setattr(engine, "STATE_CAP", 183)
+    with pytest.raises(CapExceeded):
+        enumerate_states(2, 14)
 
 
 def test_state_cap_of_one_admits_a_one_class_graph(monkeypatch):
+    # no square fits in width 1, so no front search runs; where one runs,
+    # the flat front's class is the first, and the square's class the second
     monkeypatch.setattr(engine, "STATE_CAP", 1)
     assert enumerate_states(2, 1).dim == 1
+    with pytest.raises(CapExceeded) as err:
+        enumerate_states(2, 2)
+    assert (err.value.need, err.value.cap) == (2, 1)
 
 
 def counting_transitions(monkeypatch):
@@ -349,17 +372,19 @@ def test_transition_budget_charges_every_transition(monkeypatch):
 
 
 def test_transition_budget_refuses_a_wide_flat_front_before_building(monkeypatch):
-    # (10^9, 10^9) passes it on the width alone, before a run of 10^9 lanes
-    # is tabled; from (5477, 5477) on, the flat front fits it but not with
-    # the s - 1 fronts its square leaves, and from s = 0x110001 on
-    # chr(s - 1) would not exist
+    # (10^9, 10^9) and (10^9 + 1, 10^9) pass it on the width alone, before
+    # a run or a front of 10^9 lanes is built; from (5477, 5477) on, the
+    # flat front fits it but not with the s - 1 fronts its square leaves,
+    # and from s = 0x110001 on chr(s - 1) would not exist
     calls = counting_transitions(monkeypatch)
     for s, n in ((2, 40), (2, 10**9), (4000, 8000), (20000, 40000), (10**9, 10**9),
-                 (5477, 5477), (100000, 100000), (1114113, 1114113), (1200000, 1200000)):
+                 (5477, 5477), (100000, 100000), (1114113, 1114113), (1200000, 1200000),
+                 (10**9 + 1, 10**9)):
         with pytest.raises(CapExceeded) as err:
             enumerate_states(s, n)
         assert err.value.cap == TRANSITION_BUDGET
         assert str(err.value).endswith(f", over the limit of {TRANSITION_BUDGET}")
+    assert err.value.need == 10**9  # the last, no square fitting: one front's lanes
     assert calls == []
 
 
